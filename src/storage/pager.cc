@@ -543,11 +543,12 @@ PageHandle Pager::InstallFrame(uint32_t block, uint8_t size_class,
   Frame& frame = part.frames[block];
   SEGIDX_CHECK_EQ(frame.pin_count, 0);
   SEGIDX_CHECK(!frame.in_lru);
+  frame.block = block;
   frame.bytes = std::move(bytes);
   frame.size_class = size_class;
-  frame.dirty = dirty;
   frame.pin_count = 1;
   frame.in_lru = false;
+  if (dirty) part.MarkDirty(frame);
   part.cached_bytes += frame.bytes.size();
   EnforceCapacityLocked(part);
   PageId id;
@@ -638,9 +639,9 @@ Result<PageHandle> Pager::Fetch(PageId id) {
     SEGIDX_RETURN_IF_ERROR(
         device_->Read(BlockOffset(src_block), n, bytes.data()));
     Frame& frame = part.frames[id.block];
+    frame.block = id.block;
     frame.bytes = std::move(bytes);
     frame.size_class = id.size_class;
-    frame.dirty = false;
     frame.pin_count = 1;
     frame.in_lru = false;
     part.cached_bytes += frame.bytes.size();
@@ -664,6 +665,7 @@ Status Pager::Free(PageId id) {
         return FailedPreconditionError("cannot free a pinned page");
       }
       if (frame.in_lru) part.lru.erase(frame.lru_pos);
+      part.MarkClean(frame);
       part.cached_bytes -= frame.bytes.size();
       part.frames.erase(it);
     }
@@ -804,23 +806,21 @@ Status Pager::Checkpoint() {
     std::vector<uint8_t> bytes;
   };
 
-  // Phase 1: snapshot every dirty pooled page. No writer runs concurrently
-  // (single-writer contract), so the copies stay current for the rest of
-  // the checkpoint; readers may still evict these frames, but a spill
-  // carries the same bytes.
+  // Phase 1: snapshot every dirty pooled page (the partitions' dirty
+  // lists). No writer runs concurrently (quiescence contract), so the
+  // copies stay current for the rest of the checkpoint; readers may still
+  // evict these frames, but a spill carries the same bytes.
   std::vector<Entry> page_entries;
-  std::vector<uint32_t> snapshotted;
-  std::unordered_set<uint32_t> dirty_set;
+  std::vector<uint32_t> snapshotted;  // Their blocks, sorted below.
   for (uint32_t p = 0; p < num_partitions_; ++p) {
     Partition& part = partitions_[p];
     TrackedMutexLock lock(&part.mu, LockClass::kPagerPartition);
-    for (auto& [block, frame] : part.frames) {
-      if (!frame.dirty) continue;
-      page_entries.push_back({block, frame.bytes});
-      snapshotted.push_back(block);
-      dirty_set.insert(block);
+    for (const Frame* frame : part.dirty) {
+      page_entries.push_back({frame->block, frame->bytes});
+      snapshotted.push_back(frame->block);
     }
   }
+  std::sort(snapshotted.begin(), snapshotted.end());
 
   // Phase 2 (alloc latch): absorb spilled pages, thread this epoch's frees
   // into the new free lists, and reserve the journal run at the top of the
@@ -835,7 +835,7 @@ Status Pager::Checkpoint() {
   {
     TrackedMutexLock lock(&alloc_mu_, LockClass::kPagerAlloc);
     for (const auto& [home, spill] : redirects_) {
-      if (dirty_set.count(home) == 0) {
+      if (!std::binary_search(snapshotted.begin(), snapshotted.end(), home)) {
         // The spill extent holds the only current copy; journal it home.
         std::vector<uint8_t> bytes(ExtentBytes(spill.size_class));
         SEGIDX_RETURN_IF_ERROR(device_->Read(BlockOffset(spill.block),
@@ -1000,7 +1000,7 @@ Status Pager::Checkpoint() {
     Partition& part = PartitionFor(block);
     TrackedMutexLock lock(&part.mu, LockClass::kPagerPartition);
     auto it = part.frames.find(block);
-    if (it != part.frames.end()) it->second.dirty = false;
+    if (it != part.frames.end()) part.MarkClean(it->second);
   }
   {
     // Retire every redirect: home blocks are current again. Spills created
@@ -1059,18 +1059,10 @@ Status Pager::GroupCommit(const std::function<Status()>& commit_fn) {
     if (!committing_) break;  // Become the next leader.
     commit_cv_.Wait(&commit_mu_);
   }
+  // Lead at once. Requests that arrive while commit_fn runs queue above,
+  // and the first of them to wake leads the next batch for all of them,
+  // so waiting here for joiners would only delay this request.
   committing_ = true;
-  if (options_.group_commit_window_us > 0) {
-    // Linger for the full window so near-simultaneous requesters join this
-    // batch instead of forcing their own fsync round. Waiting (rather than
-    // sleeping unlocked) releases commit_mu_, which joiners need to
-    // enqueue; spurious wakeups before the deadline just wait again.
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(options_.group_commit_window_us);
-    while (commit_cv_.WaitUntil(&commit_mu_, deadline)) {
-    }
-  }
   const uint64_t batch_end = commit_seq_;  // Requests this batch covers.
   commit_mu_.Unlock();
   check::LockdepOnUnlock(LockClass::kPagerCommit, &commit_mu_);
@@ -1212,7 +1204,7 @@ void Pager::EnforceCapacityLocked(Partition& part) {
     SEGIDX_CHECK(fit != part.frames.end());
     Frame& frame = fit->second;
     SEGIDX_CHECK_EQ(frame.pin_count, 0);
-    if (frame.dirty) {
+    if (frame.dirty()) {
       if (format_version_ == 1) {
         // Legacy v1 write-back (v1 files are read-only above this layer,
         // so this path only covers defensive edge cases).
@@ -1235,6 +1227,7 @@ void Pager::EnforceCapacityLocked(Partition& part) {
       }
     }
     it = part.lru.erase(it);
+    part.MarkClean(frame);
     part.cached_bytes -= frame.bytes.size();
     part.frames.erase(fit);
     BumpStat(stats_.evictions);
@@ -1263,7 +1256,7 @@ void Pager::MarkFrameDirty(uint32_t block) {
   TrackedMutexLock lock(&part.mu, LockClass::kPagerPartition);
   auto it = part.frames.find(block);
   SEGIDX_CHECK(it != part.frames.end());
-  it->second.dirty = true;
+  part.MarkDirty(it->second);
 }
 
 }  // namespace segidx::storage

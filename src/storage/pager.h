@@ -59,10 +59,13 @@
 //     Allocate/Free/WriteNode-style page mutation while it snapshots dirty
 //     frames (concurrent Fetch of stable pages is fine). Callers get this
 //     by entering the tree layer's exclusive gate; use GroupCommit() to
-//     let N threads amortize one such checkpoint + fsync.
-//   * GroupCommit(fn) is safe from any number of threads: callers batch
-//     behind one leader, the leader runs `fn` (typically meta save +
-//     Checkpoint) once, and every batched caller observes its result.
+//     let N threads amortize one such checkpoint + fsync. Each partition
+//     keeps the list of its dirty frames, so the snapshot costs the dirty
+//     pages, not the cached ones.
+//   * GroupCommit(fn) is safe from any number of threads: the first caller
+//     leads at once and runs `fn` (typically meta save + Checkpoint);
+//     callers that arrive while it runs queue up and form the next batch,
+//     whose leader runs `fn` once for all of them.
 //   * Lock order: a partition latch may be held while taking alloc_mu_
 //     (the spill and redirect-lookup paths do), never the reverse. The
 //     group-commit latch (commit_mu_) is never held while running `fn`.
@@ -163,12 +166,6 @@ struct PagerOptions {
   // keyed by base block. More partitions means less latch contention for
   // concurrent readers; 1 restores exact global LRU. Clamped to [1, 256].
   uint32_t lru_partitions = 8;
-  // GroupCommit(): how long a commit leader lingers (microseconds) for
-  // more requesters to join its batch before running the commit function.
-  // 0 commits immediately — concurrent requesters that arrived while a
-  // previous batch was in flight still coalesce; the window only adds
-  // latency to *absorb* near-simultaneous requesters into fewer fsyncs.
-  uint32_t group_commit_window_us = 200;
 };
 
 // What Open() found: which superblock slot won, whether the other one was
@@ -313,10 +310,10 @@ class Pager {
   // Checkpoint(), under whatever quiescence the caller's layer provides).
   // The calling thread returns once a batch *covering its request* has
   // completed — i.e. a leader ran commit_fn after this call arrived — with
-  // that batch's status. Requests that arrive while a batch is in flight
-  // wait for the next batch; the leader of a batch holds no pager locks
-  // while commit_fn runs. `PagerOptions::group_commit_window_us` bounds
-  // how long a leader waits for joiners before committing.
+  // that batch's status. A caller that finds no batch in flight leads one
+  // at once; requests that arrive while a batch is in flight wait, and the
+  // first of them to wake leads the next batch on behalf of all of them.
+  // The leader of a batch holds no pager locks while commit_fn runs.
   Status GroupCommit(const std::function<Status()>& commit_fn);
 
   // Tree-private metadata persisted in the superblock at Checkpoint().
@@ -402,23 +399,50 @@ class Pager {
 
  private:
   struct Frame {
+    static constexpr uint32_t kClean = 0xffffffffu;
+
+    uint32_t block = kInvalidBlock;  // Home block (the frame map's key).
     std::vector<uint8_t> bytes;
     uint8_t size_class = 0;
     int pin_count = 0;
-    bool dirty = false;
+    // Index in the partition's dirty list, or kClean when the bytes match
+    // the page's current device image (home or spill extent).
+    uint32_t dirty_slot = kClean;
     // Position in the partition's lru when pin_count == 0.
     std::list<uint32_t>::iterator lru_pos;
     bool in_lru = false;
+
+    bool dirty() const { return dirty_slot != kClean; }
   };
 
   // One buffer-pool shard: its own latch, frame map, LRU list (front =
-  // most recent), and byte budget. Frames live in the node-based map, so
-  // pointers handed out while pinned stay valid across rehashes.
+  // most recent), dirty list and byte budget. Frames live in the
+  // node-based map, so pointers to them (pinned handles, the dirty list)
+  // stay valid across rehashes; a frame leaves the dirty list before it
+  // leaves the map.
   struct Partition {
     mutable common::Mutex mu;
     std::unordered_map<uint32_t, Frame> frames GUARDED_BY(mu);
     std::list<uint32_t> lru GUARDED_BY(mu);
+    // Every dirty frame, in no particular order; Checkpoint() snapshots
+    // these instead of scanning `frames`. Add and remove are O(1) (a
+    // removal moves the last entry into the hole) and reuse capacity.
+    std::vector<Frame*> dirty GUARDED_BY(mu);
     size_t cached_bytes GUARDED_BY(mu) = 0;
+
+    void MarkDirty(Frame& frame) REQUIRES(mu) {
+      if (frame.dirty()) return;
+      frame.dirty_slot = static_cast<uint32_t>(dirty.size());
+      dirty.push_back(&frame);
+    }
+    void MarkClean(Frame& frame) REQUIRES(mu) {
+      if (!frame.dirty()) return;
+      Frame* moved = dirty.back();
+      moved->dirty_slot = frame.dirty_slot;
+      dirty[frame.dirty_slot] = moved;
+      dirty.pop_back();
+      frame.dirty_slot = Frame::kClean;
+    }
   };
 
   // Where an evicted dirty page's bytes currently live.

@@ -1,6 +1,7 @@
 #include "storage/pager.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -90,7 +91,10 @@ TEST(PagerTest, FetchReturnsWrittenBytes) {
 }
 
 TEST(PagerTest, EvictionWritesBackDirtyPages) {
-  auto pager = MakeMemoryPager(SmallPool());
+  auto device = std::make_unique<MemoryBlockDevice>();
+  MemoryBlockDevice* raw = device.get();
+  const PagerOptions options = SmallPool();
+  auto pager = Pager::Create(std::move(device), options).value();
   std::vector<PageId> ids;
   // 32 KB of pages through an 8 KB pool.
   for (int i = 0; i < 32; ++i) {
@@ -105,6 +109,41 @@ TEST(PagerTest, EvictionWritesBackDirtyPages) {
     auto page = pager->Fetch(ids[static_cast<size_t>(i)]);
     ASSERT_TRUE(page.ok());
     EXPECT_EQ(page->data()[0], static_cast<uint8_t>(i));
+  }
+
+  // A spill takes a page off its partition's dirty list. Fetched back from
+  // the spill extent and dirtied again, it is one live dirty page: the
+  // next checkpoint writes it once, from the pool.
+  ASSERT_TRUE(pager->Checkpoint().ok());
+  {
+    auto page = pager->Fetch(ids[0]);
+    ASSERT_TRUE(page.ok());
+    page->data()[0] = 0xa0;
+    page->MarkDirty();
+  }
+  const uint64_t spills = pager->stats().spills;
+  for (size_t i = 1; i < ids.size(); ++i) {
+    ASSERT_TRUE(pager->Fetch(ids[i]).ok());
+  }
+  ASSERT_EQ(pager->stats().spills, spills + 1);
+  {
+    auto page = pager->Fetch(ids[0]);
+    ASSERT_TRUE(page.ok());
+    EXPECT_EQ(page->data()[0], 0xa0);
+    page->data()[0] = 0xa1;
+    page->MarkDirty();
+  }
+  const uint64_t writes = pager->stats().physical_writes;
+  ASSERT_TRUE(pager->Checkpoint().ok());
+  EXPECT_EQ(pager->stats().physical_writes - writes, 1u);
+
+  auto reopened = Pager::Open(
+      std::make_unique<MemoryBlockDevice>(raw->Snapshot()), options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto page = (*reopened)->Fetch(ids[i]);
+    ASSERT_TRUE(page.ok());
+    EXPECT_EQ(page->data()[0], i == 0 ? 0xa1 : static_cast<uint8_t>(i));
   }
 }
 
@@ -274,6 +313,11 @@ TEST(PagerTest, PersistsAcrossReopen) {
   std::remove(path.c_str());
   PagerOptions options;
   PageId id;
+  // One-block pages filled with 1..16; after the first checkpoint they
+  // stay cached and clean.
+  std::vector<PageId> more;
+  constexpr size_t kRedirtied = 3;
+  constexpr size_t kFreed = 5;
   {
     auto device = FileBlockDevice::Open(path, /*create=*/true).value();
     auto pager = Pager::Create(std::move(device), options).value();
@@ -283,9 +327,30 @@ TEST(PagerTest, PersistsAcrossReopen) {
     std::memset(page->data(), 0x3c, page->size());
     page->MarkDirty();
     page->Release();
+    for (int i = 0; i < 16; ++i) {
+      auto extra = pager->Allocate(0);
+      ASSERT_TRUE(extra.ok());
+      std::memset(extra->data(), i + 1, extra->size());
+      more.push_back(extra->id());
+    }
     const uint8_t meta[] = {'h', 'i'};
     ASSERT_TRUE(pager->SetUserMeta(meta, 2).ok());
     ASSERT_TRUE(pager->Checkpoint().ok());
+
+    // The checkpoint took every page off the dirty lists, and freeing a
+    // dirty page takes it off too: of the cached pages, the next
+    // checkpoint writes only the one dirtied again.
+    for (const size_t i : {kRedirtied, kFreed}) {
+      auto extra = pager->Fetch(more[i]);
+      ASSERT_TRUE(extra.ok());
+      extra->data()[0] = 0xee;
+      extra->MarkDirty();
+    }
+    ASSERT_TRUE(pager->Free(more[kFreed]).ok());
+    const uint64_t writes = pager->stats().physical_writes;
+    ASSERT_TRUE(pager->Checkpoint().ok());
+    EXPECT_EQ(pager->stats().physical_writes - writes, 1u);
+    EXPECT_EQ(pager->cached_frames(), 16u);
   }
   {
     auto device = FileBlockDevice::Open(path, /*create=*/false).value();
@@ -297,6 +362,18 @@ TEST(PagerTest, PersistsAcrossReopen) {
     for (size_t i = 0; i < page->size(); ++i) {
       ASSERT_EQ(page->data()[i], 0x3c);
     }
+    for (size_t i = 0; i < more.size(); ++i) {
+      if (i == kFreed) continue;
+      auto extra = pager->Fetch(more[i]);
+      ASSERT_TRUE(extra.ok());
+      const uint8_t fill = static_cast<uint8_t>(i + 1);
+      EXPECT_EQ(extra->data()[0], i == kRedirtied ? 0xee : fill);
+      EXPECT_EQ(extra->data()[1], fill);
+    }
+    // The freed extent is the head of the durable free list.
+    auto reused = pager->Allocate(0);
+    ASSERT_TRUE(reused.ok());
+    EXPECT_EQ(reused->id().block, more[kFreed].block);
   }
 }
 
@@ -510,9 +587,7 @@ TEST(PagerTest, GroupCommitPropagatesErrorToEveryBatchMember) {
 }
 
 TEST(PagerTest, ConcurrentGroupCommitsCoalesceIntoBatches) {
-  PagerOptions options;
-  options.group_commit_window_us = 2000;  // Wide window to force batching.
-  auto pager = MakeMemoryPager(options);
+  auto pager = MakeMemoryPager(PagerOptions());
   constexpr int kThreads = 8;
   constexpr int kCommitsPerThread = 20;
   std::atomic<int> executions{0};
@@ -523,6 +598,9 @@ TEST(PagerTest, ConcurrentGroupCommitsCoalesceIntoBatches) {
       for (int i = 0; i < kCommitsPerThread; ++i) {
         const Status st = pager->GroupCommit([&] {
           executions.fetch_add(1);
+          // Stands in for a checkpoint's fsyncs: the requests that arrive
+          // meanwhile queue up for the next batch.
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
           return Status::OK();
         });
         if (!st.ok()) failed.store(true);
@@ -539,8 +617,45 @@ TEST(PagerTest, ConcurrentGroupCommitsCoalesceIntoBatches) {
   // joined it; followers must not re-run it.
   EXPECT_EQ(stats.commit_batches, static_cast<uint64_t>(executions.load()));
   EXPECT_LE(stats.commit_batches, stats.commit_requests);
-  // With 8 threads hammering a 2ms window, amortization must be visible.
+  // With 8 threads committing through a 1 ms commit, amortization must be
+  // visible.
   EXPECT_LT(stats.commit_batches, stats.commit_requests);
+}
+
+// Reads a stats counter that other threads bump through relaxed atomics.
+uint64_t LoadStat(const uint64_t& counter) {
+  return std::atomic_ref<uint64_t>(const_cast<uint64_t&>(counter))
+      .load(std::memory_order_relaxed);
+}
+
+TEST(PagerTest, RequestsQueuedBehindABatchShareTheNextOne) {
+  auto pager = MakeMemoryPager(PagerOptions());
+  std::atomic<int> executions{0};
+  // The first batch holds its leader until three more requests have
+  // queued behind it (bounded, so a sequencer that blocks them fails the
+  // count below instead of hanging).
+  const auto commit = [&]() -> Status {
+    if (executions.fetch_add(1) == 0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (LoadStat(pager->stats().commit_requests) < 4 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    return Status::OK();
+  };
+  std::vector<Status> results(4);
+  std::vector<std::thread> threads;
+  for (Status& result : results) {
+    threads.emplace_back([&] { result = pager->GroupCommit(commit); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const Status& result : results) EXPECT_TRUE(result.ok());
+  EXPECT_EQ(pager->stats().commit_requests, 4u);
+  // One batch for the leader, one for the three that queued behind it.
+  EXPECT_EQ(pager->stats().commit_batches, 2u);
+  EXPECT_EQ(executions.load(), 2);
 }
 
 }  // namespace

@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
           return 1;
         }
       }
-      if (auto st = (*index)->Flush(); !st.ok()) {
-        std::fprintf(stderr, "flush failed: %s\n", st.ToString().c_str());
+      if (auto st = (*index)->Commit(); !st.ok()) {
+        std::fprintf(stderr, "commit failed: %s\n", st.ToString().c_str());
         return 1;
       }
       std::cout << "\n--- " << core::IndexKindName(kind) << " ("

@@ -90,8 +90,8 @@ int main(int argc, char** argv) {
 
   // 6. Persist (no-op for the in-memory backend, but keeps the example
   //    copy-pasteable for file-backed indexes).
-  if (auto st = index->Flush(); !st.ok()) {
-    std::fprintf(stderr, "flush failed: %s\n", st.ToString().c_str());
+  if (auto st = index->Commit(); !st.ok()) {
+    std::fprintf(stderr, "commit failed: %s\n", st.ToString().c_str());
     return 1;
   }
   if (argc > 1) {

@@ -184,6 +184,12 @@ Result<CheckReport> StructureChecker::Check() {
   const uint64_t allocated = tree_->pager()->allocated_blocks();
   const bool collect_pieces = options_.expected_records != nullptr;
 
+  if (!tree_->root_region_valid() && tree_->size() != 0) {
+    Report(ViolationKind::kMbrNotContained, tree_->root(), kInvalidTupleId,
+           "tree holds " + std::to_string(tree_->size()) +
+               " records but its root region is marked invalid");
+  }
+
   std::vector<Frame> stack;
   stack.push_back(Frame{tree_->root(), tree_->root_region(),
                         tree_->height() - 1, /*is_root=*/true});
@@ -195,12 +201,12 @@ Result<CheckReport> StructureChecker::Check() {
     const Frame frame = stack.back();
     stack.pop_back();
 
-    if (!frame.id.valid() ||
-        frame.id.block < tree_->pager()->first_data_block() ||
+    if (!frame.id.valid() || frame.id.block < storage::kFirstDataBlock ||
         frame.id.block >= allocated) {
       Report(ViolationKind::kPageOutOfBounds, frame.id, kInvalidTupleId,
              "referenced block " + std::to_string(frame.id.block) +
-                 " is outside the allocated range [1, " +
+                 " is outside the allocated range [" +
+                 std::to_string(storage::kFirstDataBlock) + ", " +
                  std::to_string(allocated) + ")");
       subtree_skipped = true;
       continue;
@@ -514,8 +520,8 @@ void StructureChecker::CheckPageAccounting() {
             [](const Extent& a, const Extent& b) { return a.begin < b.begin; });
 
   const uint64_t allocated = pager->allocated_blocks();
-  // Superblock slot blocks precede the data range (two in format v2).
-  uint32_t cursor = pager->first_data_block();
+  // The superblock slot blocks precede the data range.
+  uint32_t cursor = storage::kFirstDataBlock;
   for (const Extent& e : extents) {
     PageId page;
     page.block = e.begin;

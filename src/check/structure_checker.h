@@ -9,8 +9,9 @@
 //
 //   * tree shape: balance, per-node entry capacities, serialized byte
 //     budgets, per-level extent size-class doubling (Section 2.1.2);
-//   * regions: every entry (record, branch, spanning record) is contained
-//     in its node's region; optionally that each region is the *tight* MBR
+//   * regions: a non-empty tree has a valid root region, and every entry
+//     (record, branch, spanning record) is contained in its node's region;
+//     optionally that each region is the *tight* MBR
 //     of its subtree (off by default: skeleton pre-partitioned regions and
 //     SR-Tree demotions legitimately leave slack);
 //   * spanning records (Section 3.1.1): linked branch exists, the record
@@ -25,10 +26,10 @@
 //     extents tile the allocated block range), and every reachable page
 //     deserializes with a valid checksum.
 //
-// Unlike RTree::CheckInvariants (a quick first-violation self-check), the
-// checker collects *all* violations into a CheckReport so tests can assert
-// that a deliberately injected corruption produces exactly the expected
-// violation kind, and `segidx check` can print a full damage report.
+// The checker collects *all* violations into a CheckReport so tests can
+// assert that a deliberately injected corruption produces exactly the
+// expected violation kind, and `segidx check` can print a full damage
+// report; IntervalIndex::CheckInvariants reduces it to the first one.
 //
 // Skeleton grids (Section 4) are validated by CheckSpec: boundaries strictly
 // increasing, each level's cells partition the domain, and upper-level

@@ -198,16 +198,7 @@ Result<std::unique_ptr<IntervalIndex>> IntervalIndex::OpenWithPager(
   return index;
 }
 
-Status IntervalIndex::CheckWritable() const {
-  if (pager_->format_version() == 1) {
-    return FailedPreconditionError(
-        "format v1 index files are read-only; recreate the index to write");
-  }
-  return Status::OK();
-}
-
 Status IntervalIndex::Insert(const Rect& rect, TupleId tid) {
-  SEGIDX_RETURN_IF_ERROR(CheckWritable());
   Status status;
   if (skeleton_ != nullptr) {
     // The skeleton's sample buffer is plain memory; serialize mutations on
@@ -298,7 +289,6 @@ Status IntervalIndex::BulkLoad(
         "bulk loading replaces skeleton pre-construction; use a "
         "non-skeleton index kind");
   }
-  SEGIDX_RETURN_IF_ERROR(CheckWritable());
   {
     // Bulk loading rebuilds the tree wholesale outside the latch
     // protocol; run it alone.
@@ -316,7 +306,6 @@ Status IntervalIndex::Delete(const Rect& rect, TupleId tid) {
     return FailedPreconditionError(
         "cannot delete while the skeleton sample is buffering");
   }
-  SEGIDX_RETURN_IF_ERROR(CheckWritable());
   SEGIDX_RETURN_IF_ERROR(tree_->Delete(rect, tid));
   dirty_.store(true, std::memory_order_relaxed);
   return Status::OK();
@@ -334,7 +323,6 @@ Status IntervalIndex::Finalize() {
 }
 
 Status IntervalIndex::Commit() {
-  SEGIDX_RETURN_IF_ERROR(CheckWritable());
   // Buffered sample records live only in memory; build before persisting.
   SEGIDX_RETURN_IF_ERROR(Finalize());
   // The checkpoint itself runs once per group-commit batch, on whichever
@@ -365,8 +353,6 @@ Status IntervalIndex::Commit() {
   });
 }
 
-Status IntervalIndex::Flush() { return Commit(); }
-
 Status IntervalIndex::Close() {
   if (closed_) return Status::OK();
   Status status = Status::OK();
@@ -375,7 +361,7 @@ Status IntervalIndex::Close() {
   // acknowledged before Close() began is covered either by that batch's
   // checkpoint or by this one. Nothing acknowledged is lost on a clean
   // shutdown.
-  if (dirty_.load(std::memory_order_relaxed)) status = Flush();
+  if (dirty_.load(std::memory_order_relaxed)) status = Commit();
   closed_ = true;
   return status;
 }
@@ -392,9 +378,6 @@ IntervalIndex::~IntervalIndex() {
 }
 
 Status IntervalIndex::CheckInvariants() {
-  // The tree's own quick check first: it exercises the non-public
-  // entries-seen accounting the walker below does not repeat.
-  SEGIDX_RETURN_IF_ERROR(tree_->CheckInvariants());
   SEGIDX_ASSIGN_OR_RETURN(check::CheckReport report, CheckStructure());
   return report.ToStatus();
 }

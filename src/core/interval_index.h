@@ -94,9 +94,9 @@ class IntervalIndex {
       IndexKind kind, std::unique_ptr<storage::BlockDevice> device,
       const IndexOptions& options);
 
-  // Re-opens an index persisted with Flush(). `options.pager` must match
+  // Re-opens an index persisted with Commit(). `options.pager` must match
   // the creation-time base block size; tree options are restored from the
-  // file.
+  // file. A format v1 file fails with kFailedPrecondition.
   static Result<std::unique_ptr<IntervalIndex>> OpenFromDisk(
       const std::string& path, const IndexOptions& options);
 
@@ -107,7 +107,7 @@ class IntervalIndex {
       std::unique_ptr<storage::BlockDevice> device,
       const IndexOptions& options);
 
-  // Flushes once if there are unpersisted mutations, then marks the index
+  // Commits once if there are unpersisted mutations, then marks the index
   // closed. Idempotent; later calls return OK without touching storage.
   // The destructor calls Close() and swallows the status — call Close()
   // explicitly to learn whether the final checkpoint made it to disk.
@@ -178,14 +178,10 @@ class IntervalIndex {
   // docs/CONCURRENCY.md for the leader/joiner protocol.
   Status Commit();
 
-  // Persists tree metadata and all dirty pages; the index stays usable.
-  // Synonym for Commit() (kept for existing callers).
-  Status Flush();
-
-  // Deep structural validation (tests / debugging): runs the full
-  // StructureChecker walk with defaults appropriate for this index kind
-  // (containment, spanning links and quotas, page accounting; tightness and
-  // strict spanning placement off) and returns the first violation.
+  // Deep structural validation (tests / debugging): CheckStructure() with
+  // default options (containment, spanning links and quotas, page
+  // accounting; tightness and strict spanning placement off), reduced to
+  // its first violation.
   Status CheckInvariants();
 
   // Full structural validation with caller-chosen options, returning every
@@ -261,11 +257,6 @@ class IntervalIndex {
   // plus tree and skeleton resurrection.
   static Result<std::unique_ptr<IntervalIndex>> OpenWithPager(
       std::unique_ptr<storage::Pager> pager, const IndexOptions& options);
-
-  // Mutations on a legacy (format v1) file fail up front with
-  // kFailedPrecondition instead of half-applying in the buffer pool and
-  // then failing to checkpoint.
-  Status CheckWritable() const;
 
   IndexKind kind_;
   std::unique_ptr<storage::Pager> pager_;

@@ -69,11 +69,11 @@ Result<std::vector<std::pair<Rect, TupleId>>> ScavengeRecords(
   };
 
   // Walk every block past the two superblock slots, trying each extent size
-  // in turn. The v2 checksum covers the whole extent, so a node only
+  // in turn. The node checksum covers the whole extent, so a node only
   // decodes at its true size class; journal pages, metadata, and damaged
   // extents fail the checksum and are skipped one block at a time.
   std::vector<uint8_t> buf;
-  uint64_t block = 2;
+  uint64_t block = storage::kFirstDataBlock;
   while (block < total_blocks) {
     ++rep.blocks_scanned;
     uint64_t advance = 1;
@@ -83,8 +83,7 @@ Result<std::vector<std::pair<Rect, TupleId>>> ScavengeRecords(
       const size_t n = static_cast<size_t>(bbs << sc);
       buf.resize(n);
       if (!device.Read(block * bbs, n, buf.data()).ok()) break;
-      Result<rtree::Node> node_or =
-          rtree::Node::Deserialize(buf.data(), n, options.checksum_kind);
+      Result<rtree::Node> node_or = rtree::Node::Deserialize(buf.data(), n);
       if (!node_or.ok() || !PlausibleNode(*node_or)) continue;
       const rtree::Node& node = *node_or;
       ++rep.nodes_decoded;
@@ -147,7 +146,7 @@ Result<std::unique_ptr<IntervalIndex>> SalvageToDevice(
     SEGIDX_RETURN_IF_ERROR(
         index->BulkLoad(std::move(records), options.packing));
   }
-  SEGIDX_RETURN_IF_ERROR(index->Flush());
+  SEGIDX_RETURN_IF_ERROR(index->Commit());
   return index;
 }
 

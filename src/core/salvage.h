@@ -31,8 +31,6 @@ namespace segidx::core {
 struct SalvageOptions {
   // Geometry of the damaged file; base_block_size must match creation time.
   storage::PagerOptions pager;
-  // Node checksum algorithm of the damaged file (CRC32C for format v2).
-  rtree::PageChecksumKind checksum_kind = rtree::PageChecksumKind::kCrc32c;
   // Kind of the rebuilt index (must not be a skeleton kind: the rebuild
   // bulk-loads, which skeleton pre-construction replaces).
   IndexKind rebuild_kind = IndexKind::kRTree;
@@ -59,7 +57,7 @@ Result<std::vector<std::pair<Rect, TupleId>>> ScavengeRecords(
 
 // Scavenges `source` and bulk-loads the recovered records into a fresh
 // index created on `dest` (formatted from scratch). The rebuilt index is
-// flushed before returning; run CheckStructure() on it to verify.
+// committed before returning; run CheckStructure() on it to verify.
 Result<std::unique_ptr<IntervalIndex>> SalvageToDevice(
     const storage::BlockDevice& source,
     std::unique_ptr<storage::BlockDevice> dest, const SalvageOptions& options,

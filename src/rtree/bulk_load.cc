@@ -132,7 +132,7 @@ Status BulkLoadInternal(RTree* tree,
     SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page,
                             tree->pager_->Allocate(
                                 tree->SizeClassForLevel(0)));
-    SEGIDX_RETURN_IF_ERROR(leaf.Serialize(page.data(), page.size(), tree->checksum_kind()));
+    SEGIDX_RETURN_IF_ERROR(leaf.Serialize(page.data(), page.size()));
     page.MarkDirty();
     current.push_back(BranchEntry{leaf.ComputeMbr(), page.id()});
     tree->leaf_mod_counts_[page.id().block] = 0;
@@ -156,7 +156,7 @@ Status BulkLoadInternal(RTree* tree,
       SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page,
                               tree->pager_->Allocate(
                                   tree->SizeClassForLevel(level)));
-      SEGIDX_RETURN_IF_ERROR(node.Serialize(page.data(), page.size(), tree->checksum_kind()));
+      SEGIDX_RETURN_IF_ERROR(node.Serialize(page.data(), page.size()));
       page.MarkDirty();
       next.push_back(BranchEntry{node.ComputeMbr(), page.id()});
     }

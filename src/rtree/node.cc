@@ -30,6 +30,15 @@ Rect DecodeRect(const uint8_t* src) {
   return r;
 }
 
+// The checksum a node page of `n` extent bytes carries: CRC32C over the
+// header minus the checksum field, then the rest of the extent, folded to
+// the 16 bits the header has room for.
+uint16_t PageChecksum(const uint8_t* buf, size_t n) {
+  uint32_t crc = storage::Crc32c(buf, 6);
+  crc = storage::Crc32c(buf + kNodeHeaderBytes, n - kNodeHeaderBytes, crc);
+  return static_cast<uint16_t>(crc ^ (crc >> 16));
+}
+
 }  // namespace
 
 size_t Node::SerializedBytes() const {
@@ -64,8 +73,7 @@ int Node::FindBranch(storage::PageId child) const {
   return -1;
 }
 
-Status Node::Serialize(uint8_t* buf, size_t buf_size,
-                       PageChecksumKind kind) const {
+Status Node::Serialize(uint8_t* buf, size_t buf_size) const {
   const size_t need = SerializedBytes();
   if (need > buf_size) {
     return InternalError("node does not fit in its extent");
@@ -98,40 +106,18 @@ Status Node::Serialize(uint8_t* buf, size_t buf_size,
   // Checksum lives in the header's reserved field (docs/FILE_FORMAT.md).
   // CRC32C covers the whole extent, so zero the unused tail first — bytes
   // left over from an extent's previous life must not count.
-  if (kind == PageChecksumKind::kCrc32c && need < buf_size) {
-    std::memset(buf + need, 0, buf_size - need);
-  }
-  EncodeU16(buf + 6,
-            PageChecksum(buf, kind == PageChecksumKind::kCrc32c ? buf_size
-                                                                : need,
-                         kind));
+  if (need < buf_size) std::memset(buf + need, 0, buf_size - need);
+  EncodeU16(buf + 6, PageChecksum(buf, buf_size));
   return Status::OK();
 }
 
-uint16_t Node::PageChecksum(const uint8_t* buf, size_t n,
-                            PageChecksumKind kind) {
-  if (kind == PageChecksumKind::kCrc32c) {
-    // CRC32C over the header minus the checksum field, then the rest of
-    // the extent, folded to the 16 bits the header has room for.
-    uint32_t crc = storage::Crc32c(buf, 6);
-    crc = storage::Crc32c(buf + kNodeHeaderBytes, n - kNodeHeaderBytes, crc);
-    return static_cast<uint16_t>(crc ^ (crc >> 16));
-  }
-  const uint16_t head = storage::Checksum16(buf, 6);
-  return static_cast<uint16_t>(
-      head ^ storage::Checksum16(buf + kNodeHeaderBytes,
-                                 n - kNodeHeaderBytes));
-}
-
-Result<Node> Node::Deserialize(const uint8_t* buf, size_t buf_size,
-                               PageChecksumKind kind) {
+Result<Node> Node::Deserialize(const uint8_t* buf, size_t buf_size) {
   if (buf_size < kNodeHeaderBytes) {
     return CorruptionError("node extent smaller than header");
   }
-  // The v2 checksum covers the full extent independently of the entry
-  // counts, so damage anywhere — counts included — surfaces here first.
-  if (kind == PageChecksumKind::kCrc32c &&
-      DecodeU16(buf + 6) != PageChecksum(buf, buf_size, kind)) {
+  // The checksum covers the full extent independently of the entry counts,
+  // so damage anywhere — counts included — surfaces here first.
+  if (DecodeU16(buf + 6) != PageChecksum(buf, buf_size)) {
     return CorruptionError(
         "node page CRC32C checksum mismatch (extent payload damaged)");
   }
@@ -151,10 +137,6 @@ Result<Node> Node::Deserialize(const uint8_t* buf, size_t buf_size,
   }
   if (need > buf_size) {
     return CorruptionError("node entry counts exceed extent size");
-  }
-  if (kind == PageChecksumKind::kFnv16 &&
-      DecodeU16(buf + 6) != PageChecksum(buf, need, kind)) {
-    return CorruptionError("node page checksum mismatch");
   }
   size_t off = kNodeHeaderBytes;
   if (node.level == 0) {

@@ -54,15 +54,6 @@ inline constexpr size_t kLeafEntryBytes = 40;
 inline constexpr size_t kBranchEntryBytes = 40;
 inline constexpr size_t kSpanningEntryBytes = 48;
 
-// Which page-checksum algorithm a node page carries. Tied to the pager's
-// file format version: v1 files use a folded FNV-1a over the serialized
-// prefix; v2 files use CRC32C over the *entire* extent (stray bytes in the
-// unused tail are detected too), folded into the same 16-bit header field.
-enum class PageChecksumKind : uint8_t {
-  kFnv16 = 1,   // Format v1 (legacy read support).
-  kCrc32c = 2,  // Format v2 (default).
-};
-
 // In-memory form of a node; deserialized from / serialized to a page extent.
 struct Node {
   uint16_t level = 0;
@@ -86,22 +77,13 @@ struct Node {
   int FindBranch(storage::PageId child) const;
 
   // Serializes into `buf` (must hold at least SerializedBytes(), which must
-  // be <= buf_size). Stamps a 16-bit page checksum into the header's
-  // reserved field; Deserialize verifies it and reports kCorruption on
-  // mismatch. With kCrc32c the unused tail of the extent is zeroed and the
-  // checksum covers all of `buf_size`, so `buf` must span the full extent.
-  Status Serialize(uint8_t* buf, size_t buf_size,
-                   PageChecksumKind kind = PageChecksumKind::kCrc32c) const;
-  static Result<Node> Deserialize(
-      const uint8_t* buf, size_t buf_size,
-      PageChecksumKind kind = PageChecksumKind::kCrc32c);
-
-  // The checksum a serialized node page should carry. For kFnv16, `n` is
-  // the node's serialized byte count; for kCrc32c it is the full extent
-  // size. Both cover the first six header bytes plus everything after the
-  // checksum field.
-  static uint16_t PageChecksum(const uint8_t* buf, size_t n,
-                               PageChecksumKind kind);
+  // be <= buf_size). Zeroes the unused tail of the extent and stamps a
+  // CRC32C over all of `buf_size`, folded to 16 bits, into the header's
+  // reserved field, so `buf` must span the full extent; stray bytes in the
+  // tail are detected too. Deserialize verifies the checksum and reports
+  // kCorruption on mismatch.
+  Status Serialize(uint8_t* buf, size_t buf_size) const;
+  static Result<Node> Deserialize(const uint8_t* buf, size_t buf_size);
 };
 
 // Per-level entry capacities for a given extent byte size.

@@ -29,8 +29,6 @@ constexpr int kMaxReinsertIterations = 1 << 20;
 RTree::RTree(storage::Pager* pager, const TreeOptions& options)
     : options_(options), pager_(pager) {
   SEGIDX_CHECK(pager != nullptr);
-  checksum_kind_ = pager->format_version() == 1 ? PageChecksumKind::kFnv16
-                                                : PageChecksumKind::kCrc32c;
 }
 
 Result<std::unique_ptr<RTree>> RTree::Create(storage::Pager* pager,
@@ -66,7 +64,7 @@ Status RTree::SetupEmptyRoot() {
   root.level = 0;
   SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page,
                           pager_->Allocate(SizeClassForLevel(0)));
-  SEGIDX_RETURN_IF_ERROR(root.Serialize(page.data(), page.size(), checksum_kind_));
+  SEGIDX_RETURN_IF_ERROR(root.Serialize(page.data(), page.size()));
   page.MarkDirty();
   TrackedMutexLock lock(&meta_mu_, LockClass::kTreeMeta);
   root_ = page.id();
@@ -126,18 +124,18 @@ bool RTree::HasByteRoomForSpanning(const Node& node) const {
 Result<Node> RTree::ReadNode(storage::PageId id) {
   CountNodeAccess();
   SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page, pager_->Fetch(id));
-  return Node::Deserialize(page.data(), page.size(), checksum_kind_);
+  return Node::Deserialize(page.data(), page.size());
 }
 
 Result<Node> RTree::ReadNode(storage::PageId id, uint64_t* accesses) const {
   ++*accesses;
   SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page, pager_->Fetch(id));
-  return Node::Deserialize(page.data(), page.size(), checksum_kind_);
+  return Node::Deserialize(page.data(), page.size());
 }
 
 Status RTree::WriteNode(storage::PageId id, const Node& node) {
   SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page, pager_->Fetch(id));
-  SEGIDX_RETURN_IF_ERROR(node.Serialize(page.data(), page.size(), checksum_kind_));
+  SEGIDX_RETURN_IF_ERROR(node.Serialize(page.data(), page.size()));
   page.MarkDirty();
   return Status::OK();
 }
@@ -500,7 +498,7 @@ Result<BranchEntry> RTree::SplitNode(storage::PageId node_id, Node* node,
   SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page,
                           pager_->Allocate(SizeClassForLevel(node->level)));
   const storage::PageId sibling_id = page.id();
-  SEGIDX_RETURN_IF_ERROR(sibling.Serialize(page.data(), page.size(), checksum_kind_));
+  SEGIDX_RETURN_IF_ERROR(sibling.Serialize(page.data(), page.size()));
   page.MarkDirty();
   page.Release();
 
@@ -530,7 +528,7 @@ Status RTree::GrowRootAfterSplit(const BranchEntry& old_root,
 
   SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page,
                           pager_->Allocate(SizeClassForLevel(new_root.level)));
-  SEGIDX_RETURN_IF_ERROR(new_root.Serialize(page.data(), page.size(), checksum_kind_));
+  SEGIDX_RETURN_IF_ERROR(new_root.Serialize(page.data(), page.size()));
   page.MarkDirty();
   // The caller holds the old root's latch (a split that reached the root
   // means no safe node released it), so no other writer can be moving the
@@ -915,7 +913,7 @@ Status RTree::PreBuild(const SkeletonSpec& spec) {
         SEGIDX_ASSIGN_OR_RETURN(
             storage::PageHandle page,
             pager_->Allocate(SizeClassForLevel(static_cast<int>(li))));
-        SEGIDX_RETURN_IF_ERROR(node.Serialize(page.data(), page.size(), checksum_kind_));
+        SEGIDX_RETURN_IF_ERROR(node.Serialize(page.data(), page.size()));
         page.MarkDirty();
         current[cy][cx] = Cell{page.id(), cell_rect};
         if (li == 0) leaf_mod_counts_[page.id().block] = 0;
@@ -942,7 +940,7 @@ Status RTree::PreBuild(const SkeletonSpec& spec) {
   }
   SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page,
                           pager_->Allocate(SizeClassForLevel(root.level)));
-  SEGIDX_RETURN_IF_ERROR(root.Serialize(page.data(), page.size(), checksum_kind_));
+  SEGIDX_RETURN_IF_ERROR(root.Serialize(page.data(), page.size()));
   page.MarkDirty();
   root_ = page.id();
   root_level_ = root.level;
@@ -1222,139 +1220,6 @@ Result<std::vector<RTree::LevelStats>> RTree::CollectLevelStats() {
     }
   }
   return stats;
-}
-
-Status RTree::CheckInvariants(bool expect_min_fill) {
-  PhaseGate::Scope gate(&gate_, PhaseGate::Mode::kExclusive);
-  if (!root_region_valid_ && record_count_ != 0) {
-    return InternalError("records present but root region invalid");
-  }
-  uint64_t entries_seen = 0;
-  return CheckNodeInvariants(root_, root_region_, /*is_root=*/true,
-                             root_level_, expect_min_fill, &entries_seen);
-}
-
-namespace {
-
-// "page 17 (size class 2)" for invariant-violation messages.
-std::string PageName(storage::PageId id) {
-  return "page " + std::to_string(id.block) + " (size class " +
-         std::to_string(id.size_class) + ")";
-}
-
-}  // namespace
-
-Status RTree::CheckNodeInvariants(storage::PageId id, const Rect& region,
-                                  bool is_root, int expected_level,
-                                  bool expect_min_fill,
-                                  uint64_t* entries_seen) {
-  SEGIDX_ASSIGN_OR_RETURN(Node node, ReadNode(id));
-  if (node.level != expected_level) {
-    return InternalError("tree is unbalanced: " + PageName(id) +
-                         " has level " + std::to_string(node.level) +
-                         " where level " + std::to_string(expected_level) +
-                         " was expected");
-  }
-
-  if (node.is_leaf()) {
-    if (node.records.size() > LeafCapacity()) {
-      return InternalError("leaf overflow on " + PageName(id) + ": " +
-                           std::to_string(node.records.size()) +
-                           " records exceed capacity " +
-                           std::to_string(LeafCapacity()));
-    }
-    if (expect_min_fill && !is_root) {
-      const size_t min_fill = static_cast<size_t>(
-          options_.min_fill_fraction * static_cast<double>(LeafCapacity()));
-      if (node.records.size() < std::max<size_t>(1, min_fill)) {
-        return InternalError("leaf " + PageName(id) + " below minimum fill: " +
-                             std::to_string(node.records.size()) + " < " +
-                             std::to_string(std::max<size_t>(1, min_fill)));
-      }
-    }
-    for (const LeafEntry& e : node.records) {
-      if (!e.rect.valid()) {
-        return InternalError("invalid leaf rect on " + PageName(id) +
-                             " for tid " + std::to_string(e.tid));
-      }
-      if (root_region_valid_ && !region.Contains(e.rect)) {
-        return InternalError("leaf record outside its node region on " +
-                             PageName(id) + ": tid " + std::to_string(e.tid) +
-                             " rect " + e.rect.ToString() +
-                             " escapes region " + region.ToString());
-      }
-    }
-    *entries_seen += node.records.size();
-    return Status::OK();
-  }
-
-  if (node.branches.empty() && !is_root) {
-    return InternalError("non-leaf " + PageName(id) + " has no branches");
-  }
-  if (node.branches.size() > BranchCapacity(node.level)) {
-    return InternalError("branch count on " + PageName(id) +
-                         " exceeds capacity: " +
-                         std::to_string(node.branches.size()) + " > " +
-                         std::to_string(BranchCapacity(node.level)));
-  }
-  if (node.SerializedBytes() > NodeBytes(node.level)) {
-    return InternalError("non-leaf " + PageName(id) +
-                         " exceeds its extent bytes: " +
-                         std::to_string(node.SerializedBytes()) + " > " +
-                         std::to_string(NodeBytes(node.level)));
-  }
-  if (!options_.enable_spanning && !node.spanning.empty()) {
-    return InternalError("spanning records present in a plain R-Tree on " +
-                         PageName(id));
-  }
-  if (expect_min_fill) {
-    // Guttman: every non-root node holds at least m entries, and a non-leaf
-    // root has at least two children. Splits size m from the branch
-    // capacity at this node's level.
-    const size_t min_fill =
-        is_root ? 2
-                : std::max<size_t>(
-                      1, static_cast<size_t>(
-                             options_.min_fill_fraction *
-                             static_cast<double>(BranchCapacity(node.level))));
-    if (node.branches.size() < min_fill) {
-      return InternalError("non-leaf " + PageName(id) +
-                           " below minimum fill: " +
-                           std::to_string(node.branches.size()) + " < " +
-                           std::to_string(min_fill) + " branches");
-    }
-  }
-
-  for (const SpanningEntry& s : node.spanning) {
-    if (!region.Contains(s.rect)) {
-      return InternalError("spanning record not enclosed by its node on " +
-                           PageName(id) + ": tid " + std::to_string(s.tid));
-    }
-    const int branch = node.FindBranch(storage::PageId::Decode(s.linked_child));
-    if (branch < 0) {
-      return InternalError("spanning record linked to a missing branch on " +
-                           PageName(id) + ": tid " + std::to_string(s.tid));
-    }
-    if (!s.rect.SpansRegion(node.branches[branch].rect)) {
-      return InternalError(
-          "spanning record does not span its linked branch on " +
-          PageName(id) + ": tid " + std::to_string(s.tid));
-    }
-    *entries_seen += 1;
-  }
-
-  for (const BranchEntry& b : node.branches) {
-    if (!region.Contains(b.rect)) {
-      return InternalError("branch region escapes its parent region on " +
-                           PageName(id) + ": child " + PageName(b.child));
-    }
-    SEGIDX_RETURN_IF_ERROR(CheckNodeInvariants(b.child, b.rect,
-                                               /*is_root=*/false,
-                                               expected_level - 1,
-                                               expect_min_fill,
-                                               entries_seen));
-  }
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

@@ -32,9 +32,10 @@
 // self-gate through a three-mode PhaseGate — searches share the read
 // phase, Insert/Delete share the write phase and arbitrate among
 // themselves with latch crabbing over a NodeLatchTable, and whole-tree
-// operations (PreBuild, CoalesceSparseLeaves, CheckInvariants, the
-// introspection walks) run exclusive. SaveMeta and the checkpoint itself
-// are gated by the caller (core::IntervalIndex's group commit).
+// operations (PreBuild, CoalesceSparseLeaves, the introspection walks) run
+// exclusive. SaveMeta and the checkpoint itself are gated by the caller
+// (core::IntervalIndex's group commit). Structural validation lives in
+// check/structure_checker.h.
 
 #ifndef SEGIDX_RTREE_RTREE_H_
 #define SEGIDX_RTREE_RTREE_H_
@@ -255,16 +256,6 @@ class RTree {
   // (leaves are freed, which no concurrent reader may observe).
   Result<int> CoalesceSparseLeaves(int max_candidates);
 
-  // Quick structural self-check: walks the whole tree and returns the first
-  // violation as a non-OK status naming the offending page. `expect_min_fill`
-  // additionally demands Guttman's minimum fill in every non-root node —
-  // leaves and non-leaf nodes alike (valid only for trees grown purely by
-  // splits; skeleton trees and coalesced trees violate it by design).
-  // The exhaustive multi-violation validator lives in
-  // check/structure_checker.h; this member check remains for callers below
-  // the check/ layer. Enters the exclusive phase.
-  Status CheckInvariants(bool expect_min_fill = false);
-
   // Persists root/height/count/options into the pager's metadata area.
   // Follow with pager->Checkpoint() for durability. NOT self-gated: the
   // caller must hold the exclusive phase (core::IntervalIndex runs it
@@ -284,8 +275,8 @@ class RTree {
   const TreeStats& stats() const { return stats_; }
   void ResetStats() { stats_ = TreeStats(); }
   // Contention counters for the phase gate and the node latch table
-  // (surfaced by `segidx stats` and bench-mixed). Like TreeStats, a
-  // consistent snapshot requires quiescence.
+  // (surfaced by `segidx stats` and bench/mixed_readwrite). Like
+  // TreeStats, a consistent snapshot requires quiescence.
   LatchStats latch_stats() const {
     LatchStats out;
     gate_.AccumulateStats(&out);
@@ -293,9 +284,6 @@ class RTree {
     return out;
   }
   storage::Pager* pager() { return pager_; }
-  // Node-page checksum algorithm for this tree's file format (CRC32C for
-  // v2 files, folded FNV-1a for legacy v1 files).
-  PageChecksumKind checksum_kind() const { return checksum_kind_; }
 
   // Entry capacity of a leaf node.
   size_t LeafCapacity() const;
@@ -494,18 +482,11 @@ class RTree {
                                Rect* region_out, bool* underflow_out,
                                uint64_t* accesses);
 
-  // Invariant-check recursion.
-  Status CheckNodeInvariants(storage::PageId id, const Rect& region,
-                             bool is_root, int expected_level,
-                             bool expect_min_fill, uint64_t* entries_seen);
-
   // Leaf bookkeeping for coalescing.
   void NoteLeafModified(uint32_t block);
   void ForgetLeaf(uint32_t block);
 
   storage::Pager* pager_;
-  // Derived from pager_->format_version() at construction.
-  PageChecksumKind checksum_kind_ = PageChecksumKind::kCrc32c;
 
   // The phase gate separating searches (read-shared), Insert/Delete
   // (write-shared) and whole-tree operations (exclusive).

@@ -181,7 +181,7 @@ void Server::Stop() {
   write_pool_.reset();
 
   // Final durability point for everything acknowledged above. Ignore the
-  // status: a read-only (degraded / format-v1) index legitimately refuses.
+  // status: a degraded (read-only) index legitimately refuses.
   // Abort() skips it on purpose — a crash does not get a goodbye
   // checkpoint.
   if (!aborting_.load(std::memory_order_relaxed)) (void)index_->Commit();

@@ -60,28 +60,6 @@ inline double DecodeDouble(const uint8_t* src) {
   return v;
 }
 
-// Fast 16-bit checksum over a byte range; used as the per-node-page
-// checksum (it fits the node header's reserved field, and 16 bits is ample
-// for the single-page payloads it guards). Implemented as word-at-a-time
-// FNV-1a folded to 16 bits — page reads and writes are hot paths, so a
-// bitwise CRC would dominate them.
-inline uint16_t Checksum16(const uint8_t* data, size_t n) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  constexpr uint64_t kPrime = 0x100000001b3ULL;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    uint64_t word;
-    std::memcpy(&word, data + i, 8);
-    hash = (hash ^ word) * kPrime;
-  }
-  for (; i < n; ++i) {
-    hash = (hash ^ data[i]) * kPrime;
-  }
-  hash ^= hash >> 32;
-  hash ^= hash >> 16;
-  return static_cast<uint16_t>(hash);
-}
-
 namespace internal {
 
 // Lazily built lookup table for the Castagnoli polynomial (reflected

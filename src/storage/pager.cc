@@ -17,6 +17,7 @@ namespace {
 using check::LockClass;
 using check::TrackedMutexLock;
 
+// Format v1 files are recognized only to be rejected with a clear error.
 constexpr uint64_t kMagicV1 = 0x5345474944583031ULL;  // "SEGIDX01"
 constexpr uint64_t kMagicV2 = 0x5345474944583032ULL;  // "SEGIDX02"
 constexpr uint32_t kFormatVersionV2 = 2;
@@ -41,9 +42,6 @@ constexpr uint32_t kFormatVersionV2 = 2;
 // the allocator for one extra epoch so a checkpoint never overwrites the
 // journal its fallback slot still needs for replay.
 constexpr size_t kSuperV2Fixed = 52;
-
-// Legacy v1 layout (single slot in block 0, no epoch/journal/crc).
-constexpr size_t kSuperV1Fixed = 28;
 
 // Checkpoint journal layout (log_blocks contiguous blocks at log_start):
 //   0   magic             u64
@@ -165,11 +163,11 @@ Result<std::unique_ptr<Pager>> Pager::Create(
     pager->run_scrap_.assign(max_sc + 1, {});
     pager->epoch_ = 1;
     pager->active_slot_ = 0;
-    pager->next_block_ = 2;
+    pager->next_block_ = kFirstDataBlock;
     slot.free_heads = pager->free_heads_;
   }
   slot.epoch = 1;
-  slot.next_block = 2;
+  slot.next_block = kFirstDataBlock;
   slot.max_size_class = max_sc;
   const std::vector<uint8_t> buf = pager->SerializeSlot(slot);
   SEGIDX_RETURN_IF_ERROR(pager->device_->Write(0, buf.data(), buf.size()));
@@ -194,15 +192,11 @@ Result<std::unique_ptr<Pager>> Pager::Open(
 }
 
 // Durability is explicit: only Checkpoint() persists state, so dropping a
-// pager writes nothing (a v1-era best-effort flush here would overwrite
-// blocks the durable checkpoint still references).
+// pager writes nothing (a best-effort flush here would overwrite blocks the
+// durable checkpoint still references).
 Pager::~Pager() = default;
 
 Status Pager::CheckMutable() const {
-  if (format_version_ == 1) {
-    return FailedPreconditionError(
-        "format v1 index files are read-only; recreate the file to write");
-  }
   if (degraded()) {
     return UnavailableError(
         "pager is in read-only degraded mode after a hard I/O error");
@@ -278,20 +272,20 @@ Status Pager::ParseSlot(const uint8_t* buf, SlotState* out) const {
   out->prev_log_start = DecodeU32(buf + 44);
   out->prev_log_blocks = DecodeU32(buf + 48);
   out->max_size_class = max_sc;
-  if (out->next_block < 2) {
+  if (out->next_block < kFirstDataBlock) {
     return CorruptionError("superblock high-water mark out of range");
   }
   if (static_cast<uint64_t>(out->next_block) * bbs > device_->size()) {
     return CorruptionError("superblock high-water mark past end of device");
   }
   if (out->log_blocks > 0 &&
-      (out->log_start < 2 ||
+      (out->log_start < kFirstDataBlock ||
        static_cast<uint64_t>(out->log_start) + out->log_blocks >
            out->next_block)) {
     return CorruptionError("checkpoint journal range out of bounds");
   }
   if (out->prev_log_blocks > 0 &&
-      (out->prev_log_start < 2 ||
+      (out->prev_log_start < kFirstDataBlock ||
        static_cast<uint64_t>(out->prev_log_start) + out->prev_log_blocks >
            out->next_block)) {
     return CorruptionError("previous checkpoint journal range out of bounds");
@@ -301,7 +295,8 @@ Status Pager::ParseSlot(const uint8_t* buf, SlotState* out) const {
   for (uint32_t& head : out->free_heads) {
     head = DecodeU32(buf + off);
     off += 4;
-    if (head != kInvalidBlock && (head < 2 || head >= out->next_block)) {
+    if (head != kInvalidBlock &&
+        (head < kFirstDataBlock || head >= out->next_block)) {
       return CorruptionError("superblock free-list head out of range");
     }
   }
@@ -365,8 +360,9 @@ Status Pager::ReplayJournal(const SlotState& slot, std::vector<PageId>* scraps,
     if (length == 0 || length > static_cast<uint64_t>(end - p)) {
       return CorruptionError("checkpoint journal entry truncated");
     }
-    if (block < 2 || BlockOffset(block) + length >
-                         static_cast<uint64_t>(slot.next_block) * bbs) {
+    if (block < kFirstDataBlock ||
+        BlockOffset(block) + length >
+            static_cast<uint64_t>(slot.next_block) * bbs) {
       return CorruptionError(
           "checkpoint journal entry targets an out-of-range block");
     }
@@ -380,7 +376,7 @@ Status Pager::ReplayJournal(const SlotState& slot, std::vector<PageId>* scraps,
     const uint32_t block = DecodeU32(p);
     const uint32_t sc = DecodeU32(p + 4);
     p += 8;
-    if (sc > slot.max_size_class || block < 2 ||
+    if (sc > slot.max_size_class || block < kFirstDataBlock ||
         static_cast<uint64_t>(block) + (1u << sc) > slot.next_block) {
       return CorruptionError("checkpoint journal scrap extent out of range");
     }
@@ -404,7 +400,6 @@ void Pager::AdoptSlot(int index, const SlotState& slot,
   // Runs during Open() before the pager is shared; locked for the
   // compile-time analysis, same as in Create().
   common::MutexLock lock(&alloc_mu_);
-  format_version_ = kFormatVersionV2;
   options_.max_size_class = slot.max_size_class;
   epoch_ = slot.epoch;
   active_slot_ = index;
@@ -428,37 +423,6 @@ void Pager::AdoptSlot(int index, const SlotState& slot,
   report_.epoch = slot.epoch;
 }
 
-Status Pager::OpenLegacyV1(const std::vector<uint8_t>& block0) {
-  const uint8_t* buf = block0.data();
-  if (DecodeU32(buf + 8) != 1) {
-    return CorruptionError("unsupported format version");
-  }
-  if (DecodeU32(buf + 12) != options_.base_block_size) {
-    return InvalidArgumentError(
-        "base_block_size mismatch between file and options");
-  }
-  common::MutexLock lock(&alloc_mu_);  // Open-time only; for the analysis.
-  format_version_ = 1;
-  options_.max_size_class = buf[16];
-  next_block_ = DecodeU32(buf + 24);
-  size_t off = kSuperV1Fixed;
-  free_heads_.assign(options_.max_size_class + 1, kInvalidBlock);
-  for (uint32_t& head : free_heads_) {
-    head = DecodeU32(buf + off);
-    off += 4;
-  }
-  const uint16_t meta_len = DecodeU16(buf + off);
-  off += 2;
-  if (meta_len > kUserMetaCapacity) {
-    return CorruptionError("user metadata length out of range");
-  }
-  user_meta_.assign(buf + off, buf + off + meta_len);
-  pending_free_.assign(options_.max_size_class + 1, {});
-  run_scrap_.assign(options_.max_size_class + 1, {});
-  report_.format_version = 1;
-  return Status::OK();
-}
-
 Status Pager::ReadSuperblock() {
   const uint32_t bbs = options_.base_block_size;
   if (device_->size() < bbs) {
@@ -466,7 +430,11 @@ Status Pager::ReadSuperblock() {
   }
   std::vector<uint8_t> block0(bbs);
   SEGIDX_RETURN_IF_ERROR(device_->Read(0, bbs, block0.data()));
-  if (DecodeU64(block0.data()) == kMagicV1) return OpenLegacyV1(block0);
+  if (DecodeU64(block0.data()) == kMagicV1) {
+    return FailedPreconditionError(
+        "index file is format v1, which is no longer supported; recreate "
+        "the index from its source data");
+  }
 
   SlotState slots[2];
   Status errs[2] = {Status::OK(), Status::OK()};
@@ -750,24 +718,22 @@ Result<ScrubReport> Pager::Scrub(const ScrubOptions& options) const {
            options.cancel_token->load(std::memory_order_relaxed);
   };
 
-  // Superblock slots: both must parse (v1 predates slot checksums).
-  if (format_version_ == kFormatVersionV2) {
-    std::vector<uint8_t> slot_buf(options_.base_block_size);
-    for (int slot = 0; slot < 2; ++slot) {
-      Status st = device_->Read(
-          static_cast<uint64_t>(slot) * options_.base_block_size,
-          slot_buf.size(), slot_buf.data());
-      if (st.ok()) {
-        SlotState state;
-        st = ParseSlot(slot_buf.data(), &state);
-      }
-      report.bytes_scanned += slot_buf.size();
-      if (!st.ok()) {
-        ++report.structure_errors;
-        report.defects.push_back(
-            {PageId{}, "superblock slot " + std::to_string(slot) + ": " +
-                           st.ToString()});
-      }
+  // Superblock slots: both must parse.
+  std::vector<uint8_t> slot_buf(options_.base_block_size);
+  for (int slot = 0; slot < 2; ++slot) {
+    Status st = device_->Read(
+        static_cast<uint64_t>(slot) * options_.base_block_size,
+        slot_buf.size(), slot_buf.data());
+    if (st.ok()) {
+      SlotState state;
+      st = ParseSlot(slot_buf.data(), &state);
+    }
+    report.bytes_scanned += slot_buf.size();
+    if (!st.ok()) {
+      ++report.structure_errors;
+      report.defects.push_back(
+          {PageId{}, "superblock slot " + std::to_string(slot) + ": " +
+                         st.ToString()});
     }
   }
 
@@ -1082,14 +1048,13 @@ Status Pager::GroupCommit(const std::function<Status()>& commit_fn) {
 Result<std::vector<PageId>> Pager::FreeExtents() const {
   TrackedMutexLock lock(&alloc_mu_, LockClass::kPagerAlloc);
   std::vector<PageId> out;
-  const uint32_t first_data = format_version_ == 1 ? 1 : 2;
   for (uint8_t sc = 0; sc < free_heads_.size(); ++sc) {
     uint32_t block = free_heads_[sc];
     // A well-formed list holds at most next_block_ extents; anything longer
     // is a cycle.
     uint64_t steps = 0;
     while (block != kInvalidBlock) {
-      if (block < first_data || block >= next_block_) {
+      if (block < kFirstDataBlock || block >= next_block_) {
         return CorruptionError("free list of size class " +
                                std::to_string(sc) +
                                " references out-of-range block " +
@@ -1205,18 +1170,7 @@ void Pager::EnforceCapacityLocked(Partition& part) {
     Frame& frame = fit->second;
     SEGIDX_CHECK_EQ(frame.pin_count, 0);
     if (frame.dirty()) {
-      if (format_version_ == 1) {
-        // Legacy v1 write-back (v1 files are read-only above this layer,
-        // so this path only covers defensive edge cases).
-        if (!device_
-                 ->Write(BlockOffset(victim), frame.bytes.data(),
-                         frame.bytes.size())
-                 .ok()) {
-          EnterDegraded();
-          continue;
-        }
-        BumpStat(stats_.physical_writes);
-      } else if (degraded()) {
+      if (degraded()) {
         // Nowhere safe to persist the bytes; keep the frame cached.
         continue;
       } else if (const Status st = SpillFrame(victim, frame); !st.ok()) {

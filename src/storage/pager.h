@@ -33,8 +33,6 @@
 //     follows redirects. Free() only defers the extent to an in-memory
 //     pending list; links are threaded at the next checkpoint.
 //
-// Format v1 files (single superblock, no journal) still open, read-only.
-//
 // A hard I/O *write* failure (after the block device's own retries) flips
 // the pager into degraded read-only mode: Fetch() keeps serving, while
 // Allocate/Free/SetUserMeta/Checkpoint return kUnavailable and eviction
@@ -97,6 +95,8 @@
 namespace segidx::storage {
 
 inline constexpr uint32_t kInvalidBlock = 0xffffffffu;
+// Blocks 0 and 1 hold the two superblock slots; data extents start here.
+inline constexpr uint32_t kFirstDataBlock = 2;
 
 // Address of an extent: its first base block and its size class
 // (the extent spans 1 << size_class base blocks).
@@ -173,7 +173,7 @@ struct PagerOptions {
 // winning checkpoint's journal was replayed.
 struct RecoveryReport {
   uint32_t format_version = 0;
-  int active_slot = -1;       // Winning slot index (v2 files only).
+  int active_slot = -1;       // Winning slot index.
   uint64_t epoch = 0;         // Epoch of the recovered state.
   // True when exactly one slot was usable — i.e. the file carries evidence
   // of an interrupted checkpoint (or external damage) that Open() recovered
@@ -278,6 +278,7 @@ class Pager {
   // Opens an existing formatted device; validates both superblock slots
   // against `options.base_block_size`, adopts the newest usable checkpoint,
   // and replays its journal. recovery_report() describes what happened.
+  // A format v1 file fails with kFailedPrecondition.
   static Result<std::unique_ptr<Pager>> Open(
       std::unique_ptr<BlockDevice> device, const PagerOptions& options);
 
@@ -329,11 +330,7 @@ class Pager {
   // accounting in experiments.
   uint64_t allocated_blocks() const { return next_block_; }
 
-  // 2 for v2 files (dual superblock slots), 1 for legacy v1 files.
-  uint32_t format_version() const { return format_version_; }
-  // First block available to data extents (after the superblock slot(s)).
-  uint32_t first_data_block() const { return format_version_ == 1 ? 1 : 2; }
-  // Epoch of the newest durable checkpoint (v2; 0 for v1 files).
+  // Epoch of the newest durable checkpoint.
   uint64_t epoch() const { return epoch_; }
   // True once a hard write error flipped the pager read-only.
   bool degraded() const {
@@ -473,12 +470,11 @@ class Pager {
 
   Pager(std::unique_ptr<BlockDevice> device, const PagerOptions& options);
 
-  // kFailedPrecondition for v1 files, kUnavailable when degraded.
+  // kUnavailable when degraded.
   Status CheckMutable() const;
   void EnterDegraded();
 
   Status ReadSuperblock();
-  Status OpenLegacyV1(const std::vector<uint8_t>& block0);
   Status ParseSlot(const uint8_t* buf, SlotState* out) const;
   // Serializes a slot image for `state` into a base-block-sized buffer.
   std::vector<uint8_t> SerializeSlot(const SlotState& state) const;
@@ -511,8 +507,8 @@ class Pager {
                           std::vector<uint8_t> bytes, bool dirty);
 
   // Evicts unpinned LRU frames until the partition is within its budget.
-  // Dirty victims spill (v2); frames that cannot be persisted (degraded
-  // mode) are skipped. Caller holds part.mu.
+  // Dirty victims spill; frames that cannot be persisted (degraded mode)
+  // are skipped. Caller holds part.mu.
   void EnforceCapacityLocked(Partition& part) REQUIRES(part.mu);
   // Writes `frame`'s bytes to its spill extent (allocating one on first
   // spill). Caller holds part.mu (inexpressible to the compile-time
@@ -537,7 +533,6 @@ class Pager {
   std::unordered_map<uint32_t, QuarantinedPage> quarantine_
       GUARDED_BY(quarantine_mu_);
 
-  uint32_t format_version_ = 2;
   std::atomic<bool> degraded_{false};
   RecoveryReport report_;
 
@@ -554,7 +549,7 @@ class Pager {
   mutable common::Mutex alloc_mu_;
   uint64_t epoch_ = 0;
   int active_slot_ GUARDED_BY(alloc_mu_) = 0;
-  uint32_t next_block_ = 2;  // Blocks 0 and 1 are the superblock slots.
+  uint32_t next_block_ = kFirstDataBlock;
   // Journal runs of the newest durable checkpoint and of the one before it.
   // Both are off limits to the allocator: the active run is what Open()
   // replays after a crash, and the fallback run keeps the *other* slot

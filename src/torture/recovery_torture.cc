@@ -49,7 +49,7 @@ Status RunWorkload(IntervalIndex* index, FaultInjectingBlockDevice* device,
                    const std::vector<std::pair<Rect, TupleId>>& records,
                    uint64_t checkpoint_every,
                    std::vector<OracleEntry>* oracle) {
-  Status status = index->Flush();
+  Status status = index->Commit();
   if (oracle != nullptr) {
     SEGIDX_RETURN_IF_ERROR(status);
     oracle->push_back({index->pager()->epoch(), device->counters().ops(), 0});
@@ -59,7 +59,7 @@ Status RunWorkload(IntervalIndex* index, FaultInjectingBlockDevice* device,
     if (oracle != nullptr) SEGIDX_RETURN_IF_ERROR(status);
     const bool at_checkpoint = (i + 1) % checkpoint_every == 0;
     if (at_checkpoint || i + 1 == records.size()) {
-      status = index->Flush();
+      status = index->Commit();
       if (oracle != nullptr) {
         SEGIDX_RETURN_IF_ERROR(status);
         oracle->push_back(

@@ -135,15 +135,15 @@ Result<ScrubTortureReport> RunScrubTorture(
           index->Insert(records[i].first, records[i].second));
       // Periodic checkpoints age some extents into the free lists, so the
       // media pass of every later scrub has real work to do.
-      if ((i + 1) % 100 == 0) SEGIDX_RETURN_IF_ERROR(index->Flush());
+      if ((i + 1) % 100 == 0) SEGIDX_RETURN_IF_ERROR(index->Commit());
     }
-    // Two flushes in a row: journal replay rewrites every page image in the
+    // Two commits in a row: journal replay rewrites every page image in the
     // newest checkpoint's journal back to the device on open, silently
     // healing corruption under it. An empty final checkpoint leaves every
     // node extent outside the replay window so injected damage stays
     // visible to scrub.
-    SEGIDX_RETURN_IF_ERROR(index->Flush());
-    SEGIDX_RETURN_IF_ERROR(index->Flush());
+    SEGIDX_RETURN_IF_ERROR(index->Commit());
+    SEGIDX_RETURN_IF_ERROR(index->Commit());
     SEGIDX_RETURN_IF_ERROR(index->Close());
     baseline_image = dev->Snapshot();
   }

@@ -14,6 +14,7 @@ namespace segidx::rtree {
 namespace {
 
 using oracle::NaiveOracle;
+using test_util::CheckTree;
 using test_util::MakeMemoryPager;
 using test_util::Tids;
 
@@ -56,7 +57,7 @@ TEST_P(BulkLoadTest, MatchesOracleAndInvariants) {
 
   ASSERT_TRUE(BulkLoad(tree.get(), records, c.method).ok());
   EXPECT_EQ(tree->size(), c.count);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 
   for (double qar : {0.01, 1.0, 100.0}) {
     for (const Rect& query : workload::GenerateQueries(qar, 1e6, 20, 9)) {
@@ -112,7 +113,7 @@ TEST(BulkLoadTest, PartialFillFraction) {
   // 1000 records / 12 per leaf.
   const auto counts = tree->CountNodesPerLevel().value();
   EXPECT_GE(counts[0], 83u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 }
 
 TEST(BulkLoadTest, RequiresEmptyTree) {
@@ -160,7 +161,7 @@ TEST(BulkLoadTest, PackedTreeAcceptsDynamicInserts) {
     ASSERT_TRUE(tree->Insert(rect, 100000 + tid).ok());
     oracle.Insert(rect, 100000 + tid);
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
   for (const Rect& query : workload::GenerateQueries(1, 1e6, 30, 13)) {
     std::vector<SearchHit> hits;
     ASSERT_TRUE(tree->Search(query, &hits).ok());
@@ -175,7 +176,7 @@ TEST(BulkLoadTest, WorksOnSRTree) {
   NaiveOracle oracle;
   for (const auto& [rect, tid] : records) oracle.Insert(rect, tid);
   ASSERT_TRUE(BulkLoad(tree.get(), records).ok());
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 
   // Later dynamic inserts may create spanning records on the packed frame.
   for (int i = 0; i < 500; ++i) {
@@ -185,7 +186,7 @@ TEST(BulkLoadTest, WorksOnSRTree) {
     oracle.Insert(r, 500000 + i);
   }
   EXPECT_GT(tree->stats().spanning_placed, 0u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
   for (const Rect& query : workload::GenerateQueries(0.01, 1e6, 30, 17)) {
     std::vector<SearchHit> hits;
     ASSERT_TRUE(tree->Search(query, &hits).ok());

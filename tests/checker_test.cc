@@ -351,9 +351,27 @@ TEST(StructureCheckerTest, DoublyReferencedChildIsReported) {
   ExpectOnly(Check(index.get()), ViolationKind::kPageDoublyReferenced);
 }
 
+TEST(StructureCheckerTest, InvalidRootRegionUnderRecordsIsReported) {
+  auto index = BuildIndex(IndexKind::kRTree, MixedRecords(400));
+  ASSERT_TRUE(index->Commit().ok());
+  // The tree metadata leads the pager's user metadata; byte 56 holds its
+  // flags, bit 2 of which marks the root region valid
+  // (docs/FILE_FORMAT.md). Clear it and reload the tree from the pager.
+  std::vector<uint8_t> meta = index->pager()->user_meta();
+  ASSERT_GE(meta.size(), rtree::RTree::kTreeMetaBytes);
+  meta[56] &= static_cast<uint8_t>(~4u);
+  ASSERT_TRUE(index->pager()->SetUserMeta(meta.data(), meta.size()).ok());
+  auto reloaded = rtree::RTree::Open(index->pager()).value();
+  ASSERT_GT(reloaded->size(), 0u);
+  ASSERT_FALSE(reloaded->root_region_valid());
+
+  ExpectOnly(StructureChecker(reloaded.get()).Check().value(),
+             ViolationKind::kMbrNotContained);
+}
+
 TEST(StructureCheckerTest, QuickInvariantsCatchDeepDamage) {
-  // IntervalIndex::CheckInvariants runs the full walk: page-level damage
-  // invisible to the old shallow check now surfaces through the facade.
+  // IntervalIndex::CheckInvariants is the full walk reduced to its first
+  // violation, so page-level damage surfaces through the facade.
   auto index = BuildIndex(IndexKind::kRTree, MixedRecords(400));
   {
     auto leaked = index->pager()->Allocate(0).value();

@@ -17,6 +17,7 @@ namespace segidx::rtree {
 namespace {
 
 using oracle::NaiveOracle;
+using test_util::CheckTree;
 using test_util::MakeMemoryPager;
 using test_util::Tids;
 
@@ -42,7 +43,7 @@ TEST(CoalesceChainTest, EmptyGridCollapsesInOnePass) {
   // whole neighborhood).
   EXPECT_GE(*merged, 20);
   EXPECT_LE(tree->CountNodesPerLevel().value()[0], 5u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 }
 
 TEST(CoalesceChainTest, StopsAtLeafCapacity) {
@@ -69,7 +70,7 @@ TEST(CoalesceChainTest, StopsAtLeafCapacity) {
   // 25 cells cannot go below 13.
   EXPECT_GE(leaves, 13u);
   EXPECT_LT(leaves, 25u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 }
 
 TEST(CoalesceChainTest, PrefersLeastFrequentlyModifiedLeaves) {
@@ -92,7 +93,7 @@ TEST(CoalesceChainTest, PrefersLeastFrequentlyModifiedLeaves) {
   const auto merged = tree->CoalesceSparseLeaves(4);
   ASSERT_TRUE(merged.ok());
   EXPECT_GT(*merged, 0);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 
   // The hot corners kept their records findable.
   std::vector<SearchHit> hits;
@@ -124,7 +125,7 @@ TEST(CoalesceChainTest, RehomesSpanningRecordsOnMerge) {
   const auto merged = tree->CoalesceSparseLeaves(25);
   ASSERT_TRUE(merged.ok());
   EXPECT_GT(*merged, 0);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
   for (int probe = 0; probe < 100; ++probe) {
     const Rect q = Rect::Point(rng.Uniform(0, 100), rng.Uniform(0, 100));
     std::vector<SearchHit> hits;

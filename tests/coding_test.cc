@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -57,24 +59,35 @@ TEST(ChecksumTest, DeterministicAndSensitive) {
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<uint8_t>(i * 31);
   }
-  const uint16_t base = Checksum16(data.data(), data.size());
-  EXPECT_EQ(Checksum16(data.data(), data.size()), base);
+  const uint32_t base = Crc32c(data.data(), data.size());
+  EXPECT_EQ(Crc32c(data.data(), data.size()), base);
   // Any single-byte change anywhere must flip the checksum.
   for (size_t pos : {0u, 7u, 8u, 499u, 993u, 999u}) {
     std::vector<uint8_t> copy = data;
     copy[pos] ^= 0x01;
-    EXPECT_NE(Checksum16(copy.data(), copy.size()), base) << pos;
+    EXPECT_NE(Crc32c(copy.data(), copy.size()), base) << pos;
   }
   // Length matters.
-  EXPECT_NE(Checksum16(data.data(), data.size() - 1), base);
+  EXPECT_NE(Crc32c(data.data(), data.size() - 1), base);
 }
 
 TEST(ChecksumTest, EmptyAndShortInputs) {
   const uint8_t byte = 0x42;
-  EXPECT_EQ(Checksum16(&byte, 0), Checksum16(&byte, 0));
-  const uint16_t one = Checksum16(&byte, 1);
+  EXPECT_EQ(Crc32c(&byte, 0), 0u);
+  const uint32_t one = Crc32c(&byte, 1);
   const uint8_t other = 0x43;
-  EXPECT_NE(Checksum16(&other, 1), one);
+  EXPECT_NE(Crc32c(&other, 1), one);
+}
+
+// Pins the on-disk checksum: the standard CRC-32C check value, computed
+// whole and as a seeded continuation (how node pages chain the header and
+// the payload around the checksum field).
+TEST(ChecksumTest, Crc32cKnownAnswer) {
+  const std::string check = "123456789";
+  const auto* bytes = reinterpret_cast<const uint8_t*>(check.data());
+  EXPECT_EQ(Crc32c(bytes, check.size()), 0xE3069283u);
+  EXPECT_EQ(Crc32c(bytes + 4, check.size() - 4, Crc32c(bytes, 4)),
+            0xE3069283u);
 }
 
 TEST(CodingTest, NanRoundTripsBitExact) {

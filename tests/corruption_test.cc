@@ -34,7 +34,7 @@ std::string BuildIndexFile(const char* name, IndexKind kind) {
     const double y = (i / 100) * 100.0;
     EXPECT_TRUE(index->Insert(Rect(x, x + 5, y, y + 5), i).ok());
   }
-  EXPECT_TRUE(index->Flush().ok());
+  EXPECT_TRUE(index->Commit().ok());
   return path;
 }
 

@@ -1,5 +1,5 @@
 // Crash-safety suite: fault-injecting device behavior, dual-superblock
-// recovery, degraded read-only mode, legacy v1 handling, checkpoint-on-close,
+// recovery, degraded read-only mode, format v1 rejection, checkpoint-on-close,
 // and the systematic crash-at-every-op torture sweep (ISSUE 4).
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "core/interval_index.h"
-#include "rtree/node.h"
 #include "storage/block_device.h"
 #include "storage/coding.h"
 #include "storage/fault_injection.h"
@@ -27,8 +26,6 @@ namespace {
 using core::IndexKind;
 using core::IndexOptions;
 using core::IntervalIndex;
-using rtree::Node;
-using rtree::PageChecksumKind;
 using storage::BlockDevice;
 using storage::EncodeU16;
 using storage::EncodeU32;
@@ -177,7 +174,7 @@ TEST(DualSlotTest, FreshCreateReportsSlotZeroEpochOne) {
   EXPECT_EQ(report.epoch, 1u);
   EXPECT_FALSE(report.fell_back);
   EXPECT_EQ(pager->epoch(), 1u);
-  EXPECT_EQ(pager->first_data_block(), 2u);
+  EXPECT_EQ(pager->allocated_blocks(), storage::kFirstDataBlock);
 }
 
 TEST(DualSlotTest, CheckpointsAlternateSlotsAndBumpEpoch) {
@@ -317,7 +314,7 @@ TEST(DegradedModeTest, SearchSucceedsAfterMidSearchWriteFailure) {
                               i + 1)
                     .ok());
   }
-  ASSERT_TRUE(index->Flush().ok());
+  ASSERT_TRUE(index->Commit().ok());
   // New inserts dirty pages; with writes dead, the eviction pressure of a
   // full-space search must degrade the pager, not break the search.
   for (int i = kRecords; i < kRecords + 50; ++i) {
@@ -330,11 +327,11 @@ TEST(DegradedModeTest, SearchSucceedsAfterMidSearchWriteFailure) {
   EXPECT_EQ(tids.size(), static_cast<size_t>(kRecords + 50));
   EXPECT_EQ(index->storage_stats().degraded, 1u);
   // Persisting is refused; the previous checkpoint stays the durable state.
-  EXPECT_EQ(index->Flush().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(index->Commit().code(), StatusCode::kUnavailable);
   EXPECT_EQ(index->Close().code(), StatusCode::kUnavailable);
 }
 
-// --- Legacy format v1 -------------------------------------------------------
+// --- Format v1 is rejected ---------------------------------------------------
 
 std::vector<uint8_t> BuildV1Image() {
   // Hand-rolled v1 superblock: magic "SEGIDX01", version 1, bbs 1024,
@@ -352,51 +349,12 @@ std::vector<uint8_t> BuildV1Image() {
   return image;
 }
 
-TEST(LegacyV1Test, OpensReadOnly) {
+TEST(LegacyV1Test, OpenFailsNamingFormatV1) {
   auto pager = OpenImage(BuildV1Image());
-  ASSERT_TRUE(pager.ok()) << pager.status().ToString();
-  EXPECT_EQ((*pager)->format_version(), 1u);
-  EXPECT_EQ((*pager)->first_data_block(), 1u);
-  EXPECT_EQ((*pager)->epoch(), 0u);
-  EXPECT_EQ((*pager)->recovery_report().format_version, 1u);
-  EXPECT_EQ((*pager)->Allocate(0).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ((*pager)->Checkpoint().code(), StatusCode::kFailedPrecondition);
-  const uint8_t meta[1] = {1};
-  EXPECT_EQ((*pager)->SetUserMeta(meta, 1).code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(LegacyV1Test, FnvChecksumRoundTripsAndMissesTailDamage) {
-  Node node;
-  node.level = 0;
-  node.records.push_back({Rect(0, 1, 0, 1), 42});
-
-  std::vector<uint8_t> buf(1024, 0xee);  // Dirty extent tail.
-  ASSERT_TRUE(
-      node.Serialize(buf.data(), buf.size(), PageChecksumKind::kFnv16).ok());
-  ASSERT_TRUE(Node::Deserialize(buf.data(), buf.size(),
-                                PageChecksumKind::kFnv16)
-                  .ok());
-  // The v1 checksum only covers the serialized prefix — damage in the
-  // unused tail goes unnoticed. That blind spot is why v2 moved to CRC32C
-  // over the full extent.
-  buf[1000] ^= 0xff;
-  EXPECT_TRUE(Node::Deserialize(buf.data(), buf.size(),
-                                PageChecksumKind::kFnv16)
-                  .ok());
-
-  ASSERT_TRUE(
-      node.Serialize(buf.data(), buf.size(), PageChecksumKind::kCrc32c).ok());
-  ASSERT_TRUE(Node::Deserialize(buf.data(), buf.size(),
-                                PageChecksumKind::kCrc32c)
-                  .ok());
-  buf[1000] ^= 0xff;
-  const auto damaged = Node::Deserialize(buf.data(), buf.size(),
-                                         PageChecksumKind::kCrc32c);
-  ASSERT_FALSE(damaged.ok());
-  EXPECT_EQ(damaged.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(damaged.status().message().find("CRC32C"), std::string::npos);
+  ASSERT_FALSE(pager.ok());
+  EXPECT_EQ(pager.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(pager.status().message().find("format v1"), std::string::npos)
+      << pager.status().ToString();
 }
 
 // --- Checkpoint on close ----------------------------------------------------
@@ -411,7 +369,7 @@ TEST(CloseTest, DestructorCheckpointsDirtyIndex) {
     for (int i = 0; i < 50; ++i) {
       ASSERT_TRUE(index->Insert(Rect(i, i + 1, 0, 1), i + 1).ok());
     }
-    // No Flush(): the destructor must issue the final checkpoint.
+    // No Commit(): the destructor must issue the final checkpoint.
   }
   auto reopened = IntervalIndex::OpenFromDisk(path, IndexOptions());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
@@ -427,9 +385,9 @@ TEST(CloseTest, CloseIsIdempotentAndSkipsCleanIndexes) {
   auto index =
       IntervalIndex::CreateInMemory(IndexKind::kRTree, IndexOptions()).value();
   ASSERT_TRUE(index->Insert(Rect(0, 1, 0, 1), 1).ok());
-  ASSERT_TRUE(index->Flush().ok());
+  ASSERT_TRUE(index->Commit().ok());
   const uint64_t checkpoints = index->storage_stats().checkpoints;
-  // Not dirty since the flush: Close() must not checkpoint again.
+  // Not dirty since the commit: Close() must not checkpoint again.
   EXPECT_TRUE(index->Close().ok());
   EXPECT_TRUE(index->Close().ok());
   EXPECT_EQ(index->storage_stats().checkpoints, checkpoints);

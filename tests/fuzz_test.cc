@@ -151,7 +151,7 @@ TEST(FuzzTest, FileBackedWithTinyPoolAndReopen) {
       ASSERT_EQ(tids, oracle.Search(q)) << cycle << "/" << probe;
     }
     total_evictions += index->storage_stats().evictions;
-    ASSERT_TRUE(index->Flush().ok());
+    ASSERT_TRUE(index->Commit().ok());
     auto reopened = IntervalIndex::OpenFromDisk(path, options);
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     index = std::move(reopened).value();

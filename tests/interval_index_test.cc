@@ -150,7 +150,7 @@ TEST(IntervalIndexTest, PersistAndReopenAllKinds) {
         ASSERT_TRUE(index->Insert(data[i], i).ok());
         oracle.Insert(data[i], i);
       }
-      ASSERT_TRUE(index->Flush().ok());
+      ASSERT_TRUE(index->Commit().ok());
     }
     {
       auto opened = IntervalIndex::OpenFromDisk(path, options);

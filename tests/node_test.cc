@@ -1,5 +1,6 @@
 #include "rtree/node.h"
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -93,6 +94,22 @@ TEST(NodeTest, DeserializeRejectsCorruptCounts) {
   buf[2] = 0xff;
   buf[3] = 0x7f;
   EXPECT_FALSE(Node::Deserialize(buf.data(), buf.size()).ok());
+}
+
+TEST(NodeTest, UnusedTailDamageFailsCrc32c) {
+  Node node;
+  node.level = 0;
+  node.records.push_back(LeafEntry{Rect(0, 1, 0, 1), 42});
+  std::vector<uint8_t> buf(1024, 0xee);  // Dirty extent tail.
+  ASSERT_TRUE(node.Serialize(buf.data(), buf.size()).ok());
+  ASSERT_TRUE(Node::Deserialize(buf.data(), buf.size()).ok());
+  // The checksum covers the whole extent, not just the serialized prefix,
+  // so a flipped byte far past the last entry is still caught.
+  buf[1000] ^= 0xff;
+  const auto damaged = Node::Deserialize(buf.data(), buf.size());
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(damaged.status().message().find("CRC32C"), std::string::npos);
 }
 
 TEST(NodeTest, DeserializeRejectsLeafWithSpanning) {

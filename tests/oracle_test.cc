@@ -6,7 +6,6 @@
 #include "common/random.h"
 #include "oracle/interval_tree.h"
 #include "oracle/naive_oracle.h"
-#include "oracle/priority_search_tree.h"
 #include "oracle/segment_tree.h"
 
 namespace segidx::oracle {
@@ -146,64 +145,6 @@ TEST(SegmentTreeTest, RandomizedAgainstIntervalTree) {
   for (int probe = 0; probe < 300; ++probe) {
     const Coord point = rng.Uniform(-10, 1010);
     EXPECT_EQ(seg.Stab(point), itree.Stab(point)) << point;
-  }
-}
-
-TEST(PrioritySearchTreeTest, BasicStab) {
-  PrioritySearchTree pst({{Interval(0, 10), 1},
-                          {Interval(5, 15), 2},
-                          {Interval(20, 30), 3},
-                          {Interval(0, 100), 4}});
-  EXPECT_EQ(pst.Stab(7), (std::vector<TupleId>{1, 2, 4}));
-  EXPECT_EQ(pst.Stab(0), (std::vector<TupleId>{1, 4}));
-  EXPECT_EQ(pst.Stab(17), (std::vector<TupleId>{4}));
-  EXPECT_EQ(pst.Stab(30), (std::vector<TupleId>{3, 4}));
-  EXPECT_EQ(pst.Stab(101), std::vector<TupleId>());
-  EXPECT_EQ(pst.size(), 4u);
-}
-
-TEST(PrioritySearchTreeTest, RawQuerySemantics) {
-  // Query(x_max, y_min): lo <= x_max and hi >= y_min.
-  PrioritySearchTree pst({{Interval(0, 5), 1},
-                          {Interval(10, 20), 2},
-                          {Interval(2, 30), 3}});
-  EXPECT_EQ(pst.Query(11, 18), (std::vector<TupleId>{2, 3}));
-  EXPECT_EQ(pst.Query(1, 0), (std::vector<TupleId>{1}));  // lo=2 > 1 excludes 3.
-  EXPECT_EQ(pst.Query(100, 100), std::vector<TupleId>());
-}
-
-TEST(PrioritySearchTreeTest, EmptyAndSingleton) {
-  PrioritySearchTree empty({});
-  EXPECT_EQ(empty.Stab(5), std::vector<TupleId>());
-  PrioritySearchTree one({{Interval::Point(5), 9}});
-  EXPECT_EQ(one.Stab(5), (std::vector<TupleId>{9}));
-  EXPECT_EQ(one.Stab(5.1), std::vector<TupleId>());
-}
-
-TEST(PrioritySearchTreeTest, DuplicateLowEndpoints) {
-  std::vector<std::pair<Interval, TupleId>> intervals;
-  for (int i = 0; i < 50; ++i) {
-    intervals.emplace_back(Interval(10, 10 + i), static_cast<TupleId>(i));
-  }
-  PrioritySearchTree pst(intervals);
-  EXPECT_EQ(pst.Stab(10).size(), 50u);
-  EXPECT_EQ(pst.Stab(10 + 25).size(), 25u);  // hi >= 35: i in [25, 49].
-}
-
-TEST(PrioritySearchTreeTest, RandomizedAgainstIntervalTree) {
-  Rng rng(31);
-  std::vector<std::pair<Interval, TupleId>> intervals;
-  IntervalTree itree;
-  for (int i = 0; i < 3000; ++i) {
-    const Coord lo = rng.Uniform(0, 1000);
-    const Interval iv(lo, lo + rng.Exponential(40, 800));
-    intervals.emplace_back(iv, static_cast<TupleId>(i));
-    itree.Insert(iv, static_cast<TupleId>(i));
-  }
-  PrioritySearchTree pst(intervals);
-  for (int probe = 0; probe < 500; ++probe) {
-    const Coord v = rng.Uniform(-10, 1900);
-    EXPECT_EQ(pst.Stab(v), itree.Stab(v)) << v;
   }
 }
 

@@ -22,6 +22,7 @@ using oracle::NaiveOracle;
 using rtree::SearchHit;
 using rtree::SpanningOverflowPolicy;
 using rtree::TreeOptions;
+using test_util::CheckTree;
 using test_util::MakeMemoryPager;
 using test_util::Tids;
 
@@ -91,7 +92,7 @@ TEST_P(OverflowPolicyTest, MatchesOracleUnderQuotaPressure) {
     }
   }
   EXPECT_GT(tree->stats().spanning_placed, 0u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 
   for (double qar : {0.001, 1.0, 1000.0}) {
     for (const Rect& query :
@@ -151,14 +152,14 @@ TEST(OverflowPolicyTest, EvictSmallestRecordsEvictions) {
   auto tree =
       BuildPressured(pager.get(), SpanningOverflowPolicy::kEvictSmallest);
   EXPECT_GT(tree->stats().spanning_evictions, 0u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 }
 
 TEST(OverflowPolicyTest, DescendNeverEvicts) {
   auto pager = MakeMemoryPager();
   auto tree = BuildPressured(pager.get(), SpanningOverflowPolicy::kDescend);
   EXPECT_EQ(tree->stats().spanning_evictions, 0u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 }
 
 TEST(OverflowPolicyTest, SplitGrowsSpanningCapacity) {
@@ -176,7 +177,7 @@ TEST(OverflowPolicyTest, SplitGrowsSpanningCapacity) {
     return total;
   };
   EXPECT_GT(count_spanning(split.get()), count_spanning(descend.get()));
-  ASSERT_TRUE(split->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(split.get()).ok());
 }
 
 TEST(OverflowPolicyTest, PolicyPersistsAcrossReopen) {

@@ -73,8 +73,8 @@ std::vector<uint8_t> BuildImage(const std::vector<std::pair<Rect, TupleId>>&
   for (const auto& [rect, tid] : records) {
     EXPECT_TRUE(index->Insert(rect, tid).ok());
   }
-  EXPECT_TRUE(index->Flush().ok());
-  EXPECT_TRUE(index->Flush().ok());
+  EXPECT_TRUE(index->Commit().ok());
+  EXPECT_TRUE(index->Commit().ok());
   EXPECT_TRUE(index->Close().ok());
   return dev->Snapshot();
 }

@@ -17,6 +17,7 @@ namespace segidx::rtree {
 namespace {
 
 using oracle::NaiveOracle;
+using test_util::CheckTree;
 using test_util::MakeMemoryPager;
 using test_util::Tids;
 
@@ -37,7 +38,7 @@ TEST(RTreeTest, EmptyTreeSearchFindsNothing) {
   EXPECT_EQ(accesses, 1u);  // The (empty) root leaf.
   EXPECT_EQ(tree->size(), 0u);
   EXPECT_EQ(tree->height(), 1);
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(CheckTree(tree.get()).ok());
 }
 
 TEST(RTreeTest, SingleInsertIsFindable) {
@@ -96,8 +97,8 @@ TEST(RTreeTest, GrowsInHeightAndStaysBalanced) {
     ASSERT_TRUE(tree->Insert(Rect(x, x + 10, y, y + 10), i).ok());
   }
   EXPECT_GE(tree->height(), 3);
-  // CheckInvariants validates that all leaves share level 0.
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  // The structure check validates that all leaves share level 0.
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 
   auto counts = tree->CountNodesPerLevel();
   ASSERT_TRUE(counts.ok());
@@ -164,7 +165,7 @@ TEST_P(RTreeOracleTest, SearchMatchesNaiveOracle) {
     ASSERT_TRUE(tree->Insert(data[i], i).ok());
     oracle.Insert(data[i], i);
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 
   for (double qar : {0.001, 1.0, 1000.0}) {
     const std::vector<Rect> queries =
@@ -271,7 +272,7 @@ TEST(RTreeTest, DeleteHalfThenSearchMatchesOracle) {
     oracle.Delete(data[i], i);
   }
   EXPECT_EQ(tree->size(), 1000u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 
   const std::vector<Rect> queries = workload::GenerateQueries(1, 1e6, 50, 77);
   for (const Rect& query : queries) {
@@ -300,7 +301,7 @@ TEST(RTreeTest, DeleteEverythingShrinksToEmptyRoot) {
   std::vector<SearchHit> hits;
   ASSERT_TRUE(tree->Search(Rect(0, 1000, 0, 1000), &hits).ok());
   EXPECT_TRUE(hits.empty());
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 }
 
 TEST(RTreeTest, PersistsAcrossReopen) {
@@ -332,7 +333,7 @@ TEST(RTreeTest, PersistsAcrossReopen) {
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     auto tree = std::move(reopened).value();
     EXPECT_EQ(tree->size(), 1500u);
-    ASSERT_TRUE(tree->CheckInvariants().ok());
+    ASSERT_TRUE(CheckTree(tree.get()).ok());
 
     NaiveOracle oracle;
     for (size_t i = 0; i < data.size(); ++i) oracle.Insert(data[i], i);
@@ -372,7 +373,7 @@ TEST(RTreeTest, InsertAfterReopenKeepsWorking) {
           tree->Insert(Rect(i * 10.0, i * 10.0 + 5, 0, 5), i).ok());
     }
     EXPECT_EQ(tree->size(), 200u);
-    ASSERT_TRUE(tree->CheckInvariants().ok());
+    ASSERT_TRUE(CheckTree(tree.get()).ok());
     std::vector<SearchHit> hits;
     ASSERT_TRUE(tree->Search(Rect(0, 2000, 0, 5), &hits).ok());
     EXPECT_EQ(hits.size(), 200u);

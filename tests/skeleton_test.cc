@@ -20,6 +20,7 @@ using rtree::RTree;
 using rtree::SearchHit;
 using rtree::TreeOptions;
 using srtree::SRTree;
+using test_util::CheckTree;
 using test_util::MakeMemoryPager;
 using test_util::Tids;
 
@@ -49,7 +50,7 @@ TEST(PreBuildTest, MaterializesTheSpecExactly) {
   EXPECT_EQ((*counts)[0], 16u);
   EXPECT_EQ((*counts)[1], 4u);
   EXPECT_EQ((*counts)[2], 1u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 
   // Searches over the empty skeleton find nothing but are well-formed.
   std::vector<SearchHit> hits;
@@ -86,7 +87,7 @@ TEST(PreBuildTest, InsertIntoSkeletonLandsInMatchingCell) {
 
   ASSERT_TRUE(tree->Insert(Rect(10, 12, 10, 12), 1).ok());
   ASSERT_TRUE(tree->Insert(Rect(80, 82, 80, 82), 2).ok());
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 
   // A query confined to one cell must not touch distant cells.
   std::vector<SearchHit> hits;
@@ -114,7 +115,7 @@ TEST(CoalesceTest, MergesAdjacentSparseLeaves) {
   EXPECT_GT(*merged, 0);
   auto after = tree->CountNodesPerLevel().value();
   EXPECT_EQ(after[0], before[0] - static_cast<uint64_t>(*merged));
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 }
 
 TEST(CoalesceTest, DoesNotMergeFullLeaves) {
@@ -153,7 +154,7 @@ TEST(CoalesceTest, PreservesSearchResults) {
   }
   ASSERT_TRUE(skeleton.built());
   EXPECT_GT(tree->stats().coalesced_nodes, 0u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 
   for (double qar : {0.001, 1.0, 1000.0}) {
     for (const Rect& query : workload::GenerateQueries(qar, 1e6, 30, 31)) {
@@ -242,7 +243,7 @@ TEST_P(SkeletonOracleTest, SearchMatchesNaiveOracle) {
     oracle.Insert(data[i], i);
   }
   ASSERT_TRUE(skeleton.built());
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 
   for (double qar : {0.0001, 0.1, 1.0, 100.0}) {
     for (const Rect& query :
@@ -286,7 +287,7 @@ TEST(SkeletonIndexTest, SkeletonSRTreeStoresSpanningRecordsHigh) {
     ASSERT_TRUE(skeleton.Insert(data[i], i).ok());
   }
   EXPECT_GT(tree->stats().spanning_placed, 500u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 }
 
 }  // namespace

@@ -21,6 +21,7 @@ using rtree::RTree;
 using rtree::SearchHit;
 using rtree::SplitAlgorithm;
 using rtree::TreeOptions;
+using test_util::CheckTree;
 using test_util::MakeMemoryPager;
 using test_util::Tids;
 
@@ -77,7 +78,7 @@ TEST(SRTreeTest, LongIntervalsBecomeSpanningRecords) {
     ASSERT_TRUE(tree->Insert(Rect::Segment1D(0, 100000, y), i).ok());
   }
   EXPECT_GT(tree->stats().spanning_placed, 0u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 }
 
 TEST(SRTreeTest, SpanningRecordsAreFoundBySearch) {
@@ -123,7 +124,7 @@ TEST(SRTreeTest, CutRecordsRemainLogicallyWhole) {
     ASSERT_TRUE(tree->Insert(r, i).ok());
     oracle.Insert(r, i);
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 
   // Every logical record is retrievable in full via any of its pieces.
   for (const Rect& query : workload::GenerateQueries(1, 1e6, 60, 17)) {
@@ -161,7 +162,7 @@ TEST_P(SRTreeOracleTest, SearchMatchesNaiveOracle) {
     ASSERT_TRUE(tree->Insert(data[i], i).ok());
     oracle.Insert(data[i], i);
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
 
   for (double qar : {0.0001, 0.1, 1.0, 10.0, 10000.0}) {
     for (const Rect& query :
@@ -212,7 +213,7 @@ TEST(SRTreeTest, ExercisesDemotionAndPromotionPaths) {
           tree->Insert(Rect::Segment1D(lo, lo + 50000, y), tid++).ok());
     }
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
   EXPECT_GT(tree->stats().spanning_placed, 0u);
   EXPECT_GT(tree->stats().promotions + tree->stats().demotions +
                 tree->stats().relinks,
@@ -240,7 +241,7 @@ TEST(SRTreeTest, OneDimensionalRuleLockData) {
     oracle.Insert(r, tid);
     ++tid;
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
   for (int i = 0; i < 200; ++i) {
     const Coord v = rng.Uniform(0, 200000);
     const Rect stab = Rect::Segment1D(v, v);
@@ -288,7 +289,7 @@ TEST(SRTreeTest, PersistsAcrossReopen) {
     EXPECT_FALSE(RTree::Open(pager.get()).ok());
     auto tree = SRTree::Open(pager.get()).value();
     EXPECT_EQ(tree->size(), 2500u);
-    ASSERT_TRUE(tree->CheckInvariants().ok());
+    ASSERT_TRUE(CheckTree(tree.get()).ok());
     NaiveOracle oracle;
     for (size_t i = 0; i < data.size(); ++i) oracle.Insert(data[i], i);
     for (const Rect& query : workload::GenerateQueries(0.01, 1e6, 30, 3)) {
@@ -335,7 +336,7 @@ TEST(SRTreeTest, LinearSplitVariantMatchesOracle) {
     ASSERT_TRUE(tree->Insert(data[i], i).ok());
     oracle.Insert(data[i], i);
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
   for (const Rect& query : workload::GenerateQueries(1, 1e6, 40, 21)) {
     std::vector<SearchHit> hits;
     ASSERT_TRUE(tree->Search(query, &hits).ok());
@@ -358,7 +359,7 @@ TEST(SRTreeTest, FixedNodeSizeVariantMatchesOracle) {
     ASSERT_TRUE(tree->Insert(data[i], i).ok());
     oracle.Insert(data[i], i);
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(CheckTree(tree.get()).ok());
   for (const Rect& query : workload::GenerateQueries(1, 1e6, 40, 22)) {
     std::vector<SearchHit> hits;
     ASSERT_TRUE(tree->Search(query, &hits).ok());

@@ -7,6 +7,8 @@
 #include <memory>
 #include <vector>
 
+#include "check/structure_checker.h"
+#include "common/status.h"
 #include "common/types.h"
 #include "rtree/rtree.h"
 #include "storage/block_device.h"
@@ -23,6 +25,14 @@ inline std::unique_ptr<storage::Pager> MakeMemoryPager(
                              options);
   SEGIDX_CHECK(result.ok());
   return std::move(result).value();
+}
+
+// Full structural check of a quiescent tree (check::StructureChecker with
+// default options), reduced to its first violation.
+inline Status CheckTree(rtree::RTree* tree) {
+  Result<check::CheckReport> report = check::StructureChecker(tree).Check();
+  if (!report.ok()) return report.status();
+  return report->ToStatus();
 }
 
 // Distinct tuple ids from search hits, sorted (matches NaiveOracle output).

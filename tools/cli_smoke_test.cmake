@@ -31,13 +31,19 @@ endfunction()
 expect_exit(2 "usage:")
 expect_exit(2 "usage:" frobnicate)
 
+# The usage header names every dispatched subcommand.
+foreach(cmd create insert query stats verify check scrub salvage serve
+            torture bench-resilience)
+  expect_exit(2 "segidx <([a-z-]+[|])*${cmd}[|>]")
+endforeach()
+
 # Malformed numeric flag values: exit 1, message names the flag. None of
 # these reach the filesystem — flags are validated before any file is
 # opened or created.
 expect_exit(1 "--records: expected a positive integer"
-            bench-mixed --records=abc)
+            bench-resilience --records=abc)
 expect_exit(1 "--records: expected a positive integer"
-            bench-mixed --records=-5)
+            bench-resilience --records=-5)
 expect_exit(1 "--records: expected a positive integer"
             torture --records=0 --quiet=1)
 expect_exit(1 "--threads: expected a positive integer"
@@ -50,10 +56,8 @@ expect_exit(1 "--domain: want xlo:xhi:ylo:yhi"
             --domain=1:2:3)
 expect_exit(1 "--limit: expected a non-negative integer"
             query --file=cli_smoke_missing.idx --rect=0:1:0:1 --limit=xyz)
-expect_exit(1 "--qar: expected a positive number"
-            bench-parallel --file=cli_smoke_missing.idx --qar=zz)
-expect_exit(1 "--threads: expected positive integers"
-            bench-parallel --file=cli_smoke_missing.idx --threads=2,x)
+expect_exit(1 "--reset-prob: expected a number"
+            torture --mode=serve --reset-prob=zz --quiet=1)
 expect_exit(1 "not a TCP port"
             serve --file=cli_smoke_missing.idx --port=99999)
 expect_exit(1 "--queue-depth: expected a positive integer"

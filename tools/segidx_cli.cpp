@@ -9,15 +9,11 @@
 //   segidx verify --file=idx
 //   segidx check  --file=idx [--min-fill=1] [--tight=1] [--strict=1]
 //                 [--no-quota=1] [--no-pages=1] [--max-violations=N]
-//   segidx bench-parallel --file=idx [--queries=N] [--qar=F]
-//                 [--threads=1,2,4,8] [--seed=S]
 //   segidx scrub  --file=idx [--rate=EXTENTS_PER_SEC] [--no-quarantine=1]
 //   segidx salvage --file=damaged --out=new [--kind=rtree|srtree]
 //   segidx bench-resilience [--records=N] [--queries=N] [--repeats=N]
 //                 [--threads=N] [--delay-us=N] [--deadline-us=N]
 //                 [--pool=BYTES] [--seed=S] [--out=JSON_PATH]
-//   segidx bench-mixed [--records=N] [--readers=N] [--commit-every=N]
-//                 [--seed=S] [--out=JSON_PATH]
 //   segidx torture [--mode=crash|scrub] [--kind=srtree] [--records=N]
 //                 [--checkpoint-every=N] [--tear=BYTES] [--max-points=N]
 //                 [--rounds=N] [--corrupt=N] [--seed=S] [--pool=BYTES]
@@ -27,12 +23,9 @@
 //                 [--max-inflight=N] [--commit-every=N] [--budget-us=N]
 //                 [--scrub-interval-ms=N] [--scrub-rate=N]
 //
-// `verify` stops at the first violation; `check` runs the full
-// StructureChecker walk and prints every violation plus walk statistics.
-// `bench-parallel` runs a batch of random square queries (query area ratio
-// `qar` of the root region) serially, then through the parallel
-// QueryEngine at each thread count, checking result sets stay identical
-// and reporting throughput.
+// `verify` runs the full StructureChecker walk with default options and
+// prints the first violation; `check` runs it with the flags' options and
+// prints every violation plus walk statistics.
 // `scrub` CRC-verifies every reachable node page plus the superblock slots
 // and free extents (exit 1 when defects are found); `salvage` scavenges
 // every decodable record out of a damaged file into a fresh index at
@@ -49,7 +42,6 @@
 // Exit codes: 0 success, 1 runtime error / violations found, 2 usage error.
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -68,7 +60,6 @@
 
 #include "common/random.h"
 #include "core/interval_index.h"
-#include "exec/write_pool.h"
 #include "core/salvage.h"
 #include "server/server.h"
 #include "storage/fault_injection.h"
@@ -87,19 +78,18 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: segidx "
-      "<create|insert|query|stats|verify|check|bench-parallel> --file=PATH "
-      "...\n"
+      "<create|insert|query|stats|verify|check|scrub|salvage|serve> "
+      "--file=PATH ...\n"
+      "       segidx <torture|bench-resilience> ...  (in memory; no --file)\n"
       "  create: --kind=rtree|srtree|skeleton-rtree|skeleton-srtree\n"
       "          [--expected=N] [--sample=N] [--domain=xlo:xhi:ylo:yhi]\n"
       "  insert: [--input=CSV]  rows: tid,xlo,xhi[,ylo,yhi]\n"
       "  query:  --rect=xlo:xhi:ylo:yhi [--limit=N]\n"
       "  stats:  [--dump=DEPTH]  (print tree structure to DEPTH levels)\n"
-      "  verify: quick check, stops at the first violation\n"
+      "  verify: full structure check, prints the first violation\n"
       "  check:  full structural report  [--min-fill=1] [--tight=1]\n"
       "          [--strict=1] [--no-quota=1] [--no-pages=1]\n"
       "          [--max-violations=N]\n"
-      "  bench-parallel: [--queries=N] [--qar=F] [--threads=1,2,4,8]\n"
-      "          [--seed=S]\n"
       "  scrub:  verify every extent  [--rate=EXTENTS_PER_SEC]\n"
       "          [--no-quarantine=1]\n"
       "  salvage: rebuild from a damaged file  --out=NEW_PATH\n"
@@ -107,9 +97,6 @@ int Usage() {
       "  bench-resilience: deadline latency bench (no --file; in memory)\n"
       "          [--records=N] [--queries=N] [--repeats=N] [--threads=N]\n"
       "          [--delay-us=N] [--deadline-us=N] [--pool=BYTES] [--seed=S]\n"
-      "          [--out=JSON_PATH]\n"
-      "  bench-mixed: concurrent writer/reader throughput (no --file)\n"
-      "          [--records=N] [--readers=N] [--commit-every=N] [--seed=S]\n"
       "          [--out=JSON_PATH]\n"
       "  torture: fault sweeps (no --file; runs in memory)\n"
       "          --mode=crash (default): [--kind=srtree] [--records=N]\n"
@@ -214,9 +201,8 @@ bool ParseF64Value(const std::string& text, double* out) {
 
 // Flag readers. Absent flags leave *out at its default and succeed;
 // present-but-malformed values print what was rejected and return false,
-// which callers turn into exit code 1 (the convention the bench-parallel
-// --threads guard established). All integer flags in this CLI are counts
-// or sizes, so negatives are always rejected; `require_positive`
+// which callers turn into exit code 1. All integer flags in this CLI are
+// counts or sizes, so negatives are always rejected; `require_positive`
 // additionally rejects zero (e.g. --threads=0 would spin up no workers).
 bool GetU64(const Args& args, const char* key, uint64_t* out,
             bool require_positive = false) {
@@ -253,14 +239,13 @@ bool GetI32(const Args& args, const char* key, int* out,
   return true;
 }
 
-bool GetF64(const Args& args, const char* key, double* out,
-            bool require_positive = false) {
+bool GetF64(const Args& args, const char* key, double* out) {
   const auto v = args.Get(key);
   if (!v) return true;
   double parsed = 0;
-  if (!ParseF64Value(*v, &parsed) || (require_positive && parsed <= 0)) {
-    std::fprintf(stderr, "--%s: expected a %snumber, got '%s'\n", key,
-                 require_positive ? "positive " : "", v->c_str());
+  if (!ParseF64Value(*v, &parsed)) {
+    std::fprintf(stderr, "--%s: expected a number, got '%s'\n", key,
+                 v->c_str());
     return false;
   }
   *out = parsed;
@@ -333,8 +318,8 @@ int CmdCreate(const Args& args, const std::string& file) {
                  index.status().ToString().c_str());
     return 1;
   }
-  if (auto st = (*index)->Flush(); !st.ok()) {
-    std::fprintf(stderr, "flush failed: %s\n", st.ToString().c_str());
+  if (auto st = (*index)->Commit(); !st.ok()) {
+    std::fprintf(stderr, "commit failed: %s\n", st.ToString().c_str());
     return 1;
   }
   std::printf("created %s index at %s\n", IndexKindName(*kind),
@@ -391,8 +376,8 @@ int CmdInsert(const Args& args, const std::string& file) {
     }
     ++inserted;
   }
-  if (auto st = index->Flush(); !st.ok()) {
-    std::fprintf(stderr, "flush failed: %s\n", st.ToString().c_str());
+  if (auto st = index->Commit(); !st.ok()) {
+    std::fprintf(stderr, "commit failed: %s\n", st.ToString().c_str());
     return 1;
   }
   std::printf("inserted %llu records (index now holds %llu)\n",
@@ -538,117 +523,6 @@ int CmdCheck(const Args& args, const std::string& file) {
   }
   std::fputs(report->ToString().c_str(), stdout);
   return report->ok() ? 0 : 1;
-}
-
-int CmdBenchParallel(const Args& args, const std::string& file) {
-  size_t num_queries = 1000;
-  double qar = 0.01;
-  uint64_t seed = 42;
-  std::vector<int> thread_counts = {1, 2, 4, 8};
-  if (!GetSize(args, "queries", &num_queries, /*require_positive=*/true) ||
-      !GetF64(args, "qar", &qar, /*require_positive=*/true) ||
-      !GetU64(args, "seed", &seed)) {
-    return 1;
-  }
-  if (auto v = args.Get("threads")) {
-    thread_counts.clear();
-    std::stringstream ss(*v);
-    std::string piece;
-    while (std::getline(ss, piece, ',')) {
-      int n = 0;
-      try {
-        n = std::stoi(piece);
-      } catch (const std::exception&) {
-        n = 0;
-      }
-      if (n < 1) {
-        std::fprintf(stderr, "--threads: expected positive integers, got '%s'\n",
-                     piece.c_str());
-        return 1;
-      }
-      thread_counts.push_back(n);
-    }
-    if (thread_counts.empty()) return Usage();
-  }
-
-  auto opened = OpenIndex(args, file);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "open failed: %s\n",
-                 opened.status().ToString().c_str());
-    return 1;
-  }
-  auto index = std::move(opened).value();
-  if (!index->tree()->root_region_valid()) {
-    std::fprintf(stderr, "index is empty; nothing to query\n");
-    return 1;
-  }
-
-  // Square queries covering `qar` of the root region's area, uniformly
-  // placed (the paper's QAR query model).
-  const Rect region = index->tree()->root_region();
-  const double width = region.x.hi - region.x.lo;
-  const double height = region.y.hi - region.y.lo;
-  const double side = std::sqrt(qar * width * height);
-  Rng rng(seed);
-  std::vector<Rect> queries;
-  queries.reserve(num_queries);
-  for (size_t i = 0; i < num_queries; ++i) {
-    const double x = rng.Uniform(region.x.lo,
-                                 std::max(region.x.lo, region.x.hi - side));
-    const double y = rng.Uniform(region.y.lo,
-                                 std::max(region.y.lo, region.y.hi - side));
-    queries.emplace_back(x, x + side, y, y + side);
-  }
-
-  using Clock = std::chrono::steady_clock;
-
-  // Serial baseline.
-  std::vector<std::vector<rtree::SearchHit>> serial(num_queries);
-  const auto serial_start = Clock::now();
-  for (size_t i = 0; i < num_queries; ++i) {
-    if (auto st = index->tree()->Search(queries[i], &serial[i]); !st.ok()) {
-      std::fprintf(stderr, "search failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-  }
-  const double serial_secs =
-      std::chrono::duration<double>(Clock::now() - serial_start).count();
-  std::printf("%zu queries, qar=%g, side=%.1f\n", num_queries, qar, side);
-  std::printf("%8s %12s %10s %9s\n", "threads", "queries/s", "time(s)",
-              "speedup");
-  std::printf("%8s %12.0f %10.3f %9s\n", "serial",
-              num_queries / serial_secs, serial_secs, "1.00x");
-
-  for (int threads : thread_counts) {
-    std::vector<exec::BatchResult> results;
-    const auto start = Clock::now();
-    if (auto st = index->SearchBatch(queries, &results, threads); !st.ok()) {
-      std::fprintf(stderr, "batch failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    const double secs =
-        std::chrono::duration<double>(Clock::now() - start).count();
-
-    for (size_t i = 0; i < num_queries; ++i) {
-      const auto& hits = results[i].hits;
-      if (hits.size() != serial[i].size() ||
-          !std::equal(hits.begin(), hits.end(), serial[i].begin(),
-                      [](const rtree::SearchHit& a,
-                         const rtree::SearchHit& b) {
-                        return a.tid == b.tid && a.rect == b.rect;
-                      })) {
-        std::fprintf(stderr,
-                     "MISMATCH: query %zu differs from serial at %d "
-                     "threads\n",
-                     i, threads);
-        return 1;
-      }
-    }
-    std::printf("%8d %12.0f %10.3f %8.2fx\n", threads, num_queries / secs,
-                secs, serial_secs / secs);
-  }
-  std::printf("all parallel result sets identical to serial\n");
-  return 0;
 }
 
 int CmdScrub(const Args& args, const std::string& file) {
@@ -833,8 +707,8 @@ int CmdBenchResilience(const Args& args) {
       return 1;
     }
   }
-  if (auto st = index->Flush(); !st.ok()) {
-    std::fprintf(stderr, "flush failed: %s\n", st.ToString().c_str());
+  if (auto st = index->Commit(); !st.ok()) {
+    std::fprintf(stderr, "commit failed: %s\n", st.ToString().c_str());
     return 1;
   }
 
@@ -901,196 +775,6 @@ int CmdBenchResilience(const Args& args) {
       percentile(deadline_ms, 0.50), percentile(deadline_ms, 0.99),
       static_cast<unsigned long long>(deadline_exceeded));
   std::fputs(json, stdout);
-  if (auto out = args.Get("out")) {
-    std::ofstream f(*out);
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", out->c_str());
-      return 1;
-    }
-    f << json;
-  }
-  return 0;
-}
-
-// Mixed read/write throughput: concurrent writers through exec::WritePool
-// (group-commit cadence) with reader threads searching concurrently.
-// Runs in memory on a uniform-interval workload; emits a JSON summary
-// with per-writer-count insert throughput, the 4-writer speedup, reader
-// throughput, and the group-commit amortization ratio.
-int CmdBenchMixed(const Args& args) {
-  uint64_t num_records = 40000;
-  int readers = 2;
-  uint64_t commit_every = 1024;
-  uint64_t seed = 42;
-  if (!GetU64(args, "records", &num_records, /*require_positive=*/true) ||
-      !GetI32(args, "readers", &readers, /*require_positive=*/true) ||
-      !GetU64(args, "commit-every", &commit_every) ||
-      !GetU64(args, "seed", &seed)) {
-    return 1;
-  }
-
-  // Uniform intervals over the CLI bench domain (same family as the
-  // paper's I1 workload).
-  Rng rng(seed);
-  std::vector<Rect> rects;
-  rects.reserve(num_records);
-  for (uint64_t i = 0; i < num_records; ++i) {
-    const double s = rng.Uniform(0.0, 100000.0);
-    rects.emplace_back(Interval(s, s + rng.Uniform(1.0, 200.0)),
-                       Interval::Point(rng.Uniform(0.0, 100000.0)));
-  }
-  const size_t preload_count = rects.size() / 2;
-  std::vector<Rect> queries;
-  for (int i = 0; i < 64; ++i) {
-    const double x = rng.Uniform(0.0, 99000.0);
-    const double y = rng.Uniform(0.0, 99000.0);
-    queries.emplace_back(x, x + 1000.0, y, y + 1000.0);
-  }
-
-  struct Row {
-    int writers;
-    double inserts_per_sec;
-    double queries_per_sec;
-    uint64_t commit_requests;
-    uint64_t commit_batches;
-    rtree::LatchStats latch;  // Contention counters for this run's index.
-  };
-  std::vector<Row> rows;
-  for (int writers : {1, 2, 4}) {
-    IndexOptions options;
-    auto created =
-        IntervalIndex::CreateInMemory(IndexKind::kRTree, options);
-    if (!created.ok()) {
-      std::fprintf(stderr, "create failed: %s\n",
-                   created.status().ToString().c_str());
-      return 1;
-    }
-    auto index = std::move(created).value();
-    std::vector<std::pair<Rect, TupleId>> preload;
-    preload.reserve(preload_count);
-    for (size_t i = 0; i < preload_count; ++i) {
-      preload.emplace_back(rects[i], static_cast<TupleId>(i + 1));
-    }
-    if (auto st = index->BulkLoad(std::move(preload)); !st.ok()) {
-      std::fprintf(stderr, "bulk load failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::vector<exec::WriteOp> ops;
-    ops.reserve(rects.size() - preload_count);
-    for (size_t i = preload_count; i < rects.size(); ++i) {
-      ops.push_back(exec::WriteOp{rects[i], static_cast<TupleId>(i + 1)});
-    }
-
-    exec::WritePoolOptions wopts;
-    wopts.num_threads = writers;
-    wopts.commit_every = commit_every;
-    IntervalIndex* idx = index.get();
-    exec::WritePool pool(
-        idx->tree(), [idx] { return idx->Commit(); }, wopts);
-
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> queries_done{0};
-    std::atomic<bool> reader_failed{false};
-    std::vector<std::thread> reader_threads;
-    for (int r = 0; r < readers; ++r) {
-      reader_threads.emplace_back([&, r] {
-        size_t qi = static_cast<size_t>(r);
-        std::vector<rtree::SearchHit> hits;
-        while (!stop.load(std::memory_order_relaxed)) {
-          hits.clear();
-          if (!idx->Search(queries[qi % queries.size()], &hits).ok()) {
-            reader_failed.store(true);
-            return;
-          }
-          qi += static_cast<size_t>(readers);
-          queries_done.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-
-    using Clock = std::chrono::steady_clock;
-    const auto t0 = Clock::now();
-    const Status st = pool.ApplyBatch(ops);
-    const double secs =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    stop.store(true);
-    for (std::thread& t : reader_threads) t.join();
-    if (!st.ok()) {
-      std::fprintf(stderr, "apply batch failed: %s\n",
-                   st.ToString().c_str());
-      return 1;
-    }
-    if (reader_failed.load()) {
-      std::fprintf(stderr, "reader thread failed\n");
-      return 1;
-    }
-    if (idx->size() != rects.size()) {
-      std::fprintf(stderr, "record count mismatch after %d writers\n",
-                   writers);
-      return 1;
-    }
-    if (auto check = idx->CheckInvariants(); !check.ok()) {
-      std::fprintf(stderr, "invariant violation after %d writers: %s\n",
-                   writers, check.ToString().c_str());
-      return 1;
-    }
-    rows.push_back(Row{writers, static_cast<double>(ops.size()) / secs,
-                       static_cast<double>(queries_done.load()) / secs,
-                       idx->storage_stats().commit_requests,
-                       idx->storage_stats().commit_batches,
-                       idx->tree()->latch_stats()});
-    const rtree::LatchStats& latch = rows.back().latch;
-    std::printf(
-        "%d writer(s): %.0f inserts/s, %.0f queries/s, "
-        "%llu commits in %llu batches\n"
-        "  contention: write gate %llu/%llu blocked (%llu us), "
-        "node latch %llu/%llu blocked (%llu us)\n",
-        writers, rows.back().inserts_per_sec, rows.back().queries_per_sec,
-        static_cast<unsigned long long>(rows.back().commit_requests),
-        static_cast<unsigned long long>(rows.back().commit_batches),
-        static_cast<unsigned long long>(latch.gate_blocked[1]),
-        static_cast<unsigned long long>(latch.gate_enters[1]),
-        static_cast<unsigned long long>(latch.gate_wait_us[1]),
-        static_cast<unsigned long long>(latch.latch_blocked),
-        static_cast<unsigned long long>(latch.latch_acquires),
-        static_cast<unsigned long long>(latch.latch_wait_us));
-  }
-
-  const double speedup_4w =
-      rows.back().inserts_per_sec / rows.front().inserts_per_sec;
-  std::string json = "{\"bench\": \"mixed\", \"records\": " +
-                     std::to_string(num_records) +
-                     ", \"readers\": " + std::to_string(readers) +
-                     ", \"commit_every\": " + std::to_string(commit_every) +
-                     ", \"runs\": [";
-  char buf[512];
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const rtree::LatchStats& latch = rows[i].latch;
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s{\"writers\": %d, \"inserts_per_sec\": %.0f, "
-        "\"queries_per_sec\": %.0f, \"commit_requests\": %llu, "
-        "\"commit_batches\": %llu, \"gate_write_enters\": %llu, "
-        "\"gate_write_blocked\": %llu, \"gate_write_wait_us\": %llu, "
-        "\"gate_read_blocked\": %llu, \"node_latch_acquires\": %llu, "
-        "\"node_latch_blocked\": %llu, \"node_latch_wait_us\": %llu}",
-        i == 0 ? "" : ", ", rows[i].writers, rows[i].inserts_per_sec,
-        rows[i].queries_per_sec,
-        static_cast<unsigned long long>(rows[i].commit_requests),
-        static_cast<unsigned long long>(rows[i].commit_batches),
-        static_cast<unsigned long long>(latch.gate_enters[1]),
-        static_cast<unsigned long long>(latch.gate_blocked[1]),
-        static_cast<unsigned long long>(latch.gate_wait_us[1]),
-        static_cast<unsigned long long>(latch.gate_blocked[0]),
-        static_cast<unsigned long long>(latch.latch_acquires),
-        static_cast<unsigned long long>(latch.latch_blocked),
-        static_cast<unsigned long long>(latch.latch_wait_us));
-    json += buf;
-  }
-  std::snprintf(buf, sizeof(buf), "], \"speedup_4_writers\": %.2f}\n",
-                speedup_4w);
-  json += buf;
-  std::fputs(json.c_str(), stdout);
   if (auto out = args.Get("out")) {
     std::ofstream f(*out);
     if (!f) {
@@ -1292,7 +976,6 @@ int main(int argc, char** argv) {
   if (args->command == "bench-resilience") {
     return CmdBenchResilience(*args);
   }
-  if (args->command == "bench-mixed") return CmdBenchMixed(*args);
   const auto file = args->Get("file");
   if (!file) return Usage();
 
@@ -1302,9 +985,6 @@ int main(int argc, char** argv) {
   if (args->command == "stats") return CmdStats(*args, *file);
   if (args->command == "verify") return CmdVerify(*args, *file);
   if (args->command == "check") return CmdCheck(*args, *file);
-  if (args->command == "bench-parallel") {
-    return CmdBenchParallel(*args, *file);
-  }
   if (args->command == "scrub") return CmdScrub(*args, *file);
   if (args->command == "salvage") return CmdSalvage(*args, *file);
   if (args->command == "serve") return CmdServe(*args, *file);

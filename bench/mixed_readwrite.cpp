@@ -2,9 +2,10 @@
 // workload.
 //
 // Preloads an R-Tree with half the dataset, then for each writer count
-// (1/2/4) pushes the other half through exec::WritePool — concurrent
-// inserts under the tree's shared write phase, each worker committing
-// through the group-commit sequencer every --commit-every operations.
+// (1/2/4) pushes the other half through that many writer threads calling
+// IntervalIndex::Insert — concurrent inserts under the tree's shared write
+// phase, each writer committing through the group-commit sequencer after
+// every kCommitEvery of its own inserts, plus one final commit per pass.
 // Two passes per writer count: write-only (the scaling headline) and
 // mixed, where reader threads run point-in-time queries concurrently and
 // their throughput is reported alongside. After every pass the tree is
@@ -25,7 +26,6 @@
 
 #include "bench_support/experiment.h"
 #include "core/interval_index.h"
-#include "exec/write_pool.h"
 #include "workload/datasets.h"
 
 namespace {
@@ -45,16 +45,31 @@ struct PassResult {
   rtree::LatchStats latch;  // Gate/latch contention over the pass.
 };
 
-// One timed insert pass: `writers` pool threads applying `ops`, with
-// `readers` threads running queries until the writers finish.
-bool RunPass(core::IntervalIndex* index, const std::vector<exec::WriteOp>& ops,
-             int writers, int readers, const std::vector<Rect>& queries,
-             PassResult* out) {
-  exec::WritePoolOptions wopts;
-  wopts.num_threads = writers;
-  wopts.commit_every = kCommitEvery;
-  exec::WritePool pool(
-      index->tree(), [index] { return index->Commit(); }, wopts);
+// One timed insert pass: `writers` threads inserting rects[first..] (tid =
+// position in `rects`), with `readers` threads running queries until the
+// writers finish.
+bool RunPass(core::IntervalIndex* index, const std::vector<Rect>& rects,
+             size_t first, int writers, int readers,
+             const std::vector<Rect>& queries, PassResult* out) {
+  std::atomic<size_t> next{first};  // Next rect to insert.
+  std::atomic<bool> writer_failed{false};
+  auto writer = [&] {
+    uint64_t since_commit = 0;
+    while (!writer_failed.load(std::memory_order_relaxed)) {
+      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= rects.size()) return;
+      Status st = index->Insert(rects[i], static_cast<TupleId>(i));
+      if (st.ok() && ++since_commit == kCommitEvery) {
+        since_commit = 0;
+        st = index->Commit();
+      }
+      if (!st.ok()) {
+        std::fprintf(stderr, "writer failed: %s\n", st.ToString().c_str());
+        writer_failed.store(true);
+        return;
+      }
+    }
+  };
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> queries_done{0};
@@ -80,20 +95,25 @@ bool RunPass(core::IntervalIndex* index, const std::vector<exec::WriteOp>& ops,
   const uint64_t batches_before = index->storage_stats().commit_batches;
   const uint64_t requests_before = index->storage_stats().commit_requests;
   const auto t0 = Clock::now();
-  const Status st = pool.ApplyBatch(ops);
+  std::vector<std::thread> writer_threads;
+  for (int w = 0; w < writers; ++w) writer_threads.emplace_back(writer);
+  for (std::thread& t : writer_threads) t.join();
+  // Final commit: every insert of the pass is durable before it ends.
+  const Status st = index->Commit();
   const double secs =
       std::chrono::duration<double>(Clock::now() - t0).count();
   stop.store(true);
   for (std::thread& t : reader_threads) t.join();
+  if (writer_failed.load()) return false;
   if (!st.ok()) {
-    std::fprintf(stderr, "apply batch failed: %s\n", st.ToString().c_str());
+    std::fprintf(stderr, "final commit failed: %s\n", st.ToString().c_str());
     return false;
   }
   if (reader_failed.load()) {
     std::fprintf(stderr, "reader thread failed\n");
     return false;
   }
-  out->inserts_per_sec = static_cast<double>(ops.size()) / secs;
+  out->inserts_per_sec = static_cast<double>(rects.size() - first) / secs;
   out->queries_per_sec = static_cast<double>(queries_done.load()) / secs;
   out->commit_batches =
       index->storage_stats().commit_batches - batches_before;
@@ -147,14 +167,9 @@ int Run(const bench_support::BenchArgs& args) {
                      st.ToString().c_str());
         return 1;
       }
-      std::vector<exec::WriteOp> ops;
-      ops.reserve(rects.size() - preload_count);
-      for (size_t i = preload_count; i < rects.size(); ++i) {
-        ops.push_back(exec::WriteOp{rects[i], static_cast<TupleId>(i)});
-      }
-
       PassResult result;
-      if (!RunPass(index.get(), ops, writers, readers, queries, &result)) {
+      if (!RunPass(index.get(), rects, preload_count, writers, readers,
+                   queries, &result)) {
         return 1;
       }
       if (index->size() != rects.size()) {

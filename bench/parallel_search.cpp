@@ -1,10 +1,10 @@
 // Parallel search throughput over the graph1 (I1) workload.
 //
 // Builds an R-Tree over the I1 interval dataset, runs a batch of
-// area-10^6 queries serially, then through exec::QueryEngine at 1/2/4/8
-// worker threads. Every parallel run must return bit-identical result
-// sets to the serial baseline (same hits, same order per query); the
-// binary fails otherwise. Throughput and speedup are printed per thread
+// area-10^6 queries serially, then through IntervalIndex::SearchBatch at
+// 1/2/4/8 worker threads. Every parallel run must return bit-identical
+// result sets to the serial baseline (same hits, same order per query);
+// the binary fails otherwise. Throughput and speedup are printed per thread
 // count and written to results/parallel_search.csv.
 //
 // Flags: --tuples=N --queries=N --seed=N (see ParseBenchArgs).
@@ -90,7 +90,7 @@ int Run(const bench_support::BenchArgs& args) {
 
   std::vector<std::pair<int, double>> rows;
   for (int threads : kThreadCounts) {
-    std::vector<exec::BatchResult> results;
+    std::vector<core::BatchResult> results;
     const auto start = Clock::now();
     if (auto st = index->SearchBatch(queries, &results, threads); !st.ok()) {
       std::fprintf(stderr, "batch failed: %s\n", st.ToString().c_str());

@@ -52,7 +52,7 @@ enum class LockClass : int {
   kLatchMap,        // rtree::NodeLatchTable::map_mu_ (leaf; never blocks).
   kTreeMeta,        // rtree::RTree::meta_mu_ (after node latches).
   kTreeLeaf,        // rtree::RTree::leaf_mu_.
-  kExecPool,        // exec::QueryEngine / exec::WritePool scheduler mutex.
+  kExecPool,        // exec::WorkerPool scheduler mutex.
   kPagerPartition,  // storage::Pager LRU shard latches (one at a time).
   kPagerAlloc,      // storage::Pager::alloc_mu_ (after a partition latch).
   kPagerQuarantine,  // storage::Pager::quarantine_mu_.

@@ -247,25 +247,76 @@ Status IntervalIndex::Search(const Rect& query,
 }
 
 Status IntervalIndex::SearchBatch(const std::vector<Rect>& queries,
-                                  std::vector<exec::BatchResult>* results,
+                                  std::vector<BatchResult>* results,
                                   int num_threads) {
   return SearchBatch(queries, rtree::SearchOptions(), results, num_threads);
 }
 
 Status IntervalIndex::SearchBatch(const std::vector<Rect>& queries,
                                   const rtree::SearchOptions& options,
-                                  std::vector<exec::BatchResult>* results,
+                                  std::vector<BatchResult>* results,
                                   int num_threads) {
   // Workers search the tree directly, so a buffering skeleton must build
   // its tree first (Search would do the same one query at a time).
   SEGIDX_RETURN_IF_ERROR(Finalize());
   const int threads = std::clamp(num_threads, 1, 64);
-  if (engine_ == nullptr || engine_->num_threads() != threads) {
-    exec::QueryEngineOptions opts;
-    opts.num_threads = threads;
-    engine_ = std::make_unique<exec::QueryEngine>(tree_.get(), opts);
+  if (search_pool_ == nullptr || search_pool_->num_threads() != threads) {
+    search_pool_ = std::make_unique<exec::WorkerPool>(threads);
   }
-  return engine_->SearchBatch(queries, options, results);
+  // Every entry starts "not claimed"; workers overwrite the status of each
+  // query they actually execute, so an aborted batch leaves a precise
+  // record of which entries hold valid hits.
+  results->clear();
+  results->resize(queries.size());
+  for (BatchResult& r : *results) {
+    r.status = CancelledError("query not claimed: batch aborted early");
+  }
+  if (queries.empty()) return Status::OK();
+
+  {
+    // The batch runs under one read-phase admission held by this thread:
+    // writers are excluded for the whole batch, so the results are a
+    // consistent snapshot and deterministic regardless of worker timing.
+    // Workers use SearchGateHeld (never Search) — a nested gate entry from
+    // a worker could deadlock against the fairness rotation.
+    rtree::PhaseGate::Scope gate(&tree_->phase_gate(),
+                                 rtree::PhaseGate::Mode::kRead);
+    search_pool_->Run(queries.size(), [&](size_t i) {
+      BatchResult& r = (*results)[i];
+      rtree::SearchOutcome outcome;
+      r.status = tree_->SearchGateHeld(queries[i], options, &r.hits, &outcome);
+      r.nodes_accessed = outcome.nodes_accessed;
+      r.partial = outcome.partial;
+      r.skipped_subtrees = std::move(outcome.skipped_subtrees);
+      // Hard errors and cancellation stop the batch: nothing more is
+      // claimed. An expired deadline keeps claiming — each remaining query
+      // fails its first deadline check without touching a page, so every
+      // entry ends with its own kDeadlineExceeded status.
+      return r.status.ok() ||
+             r.status.code() == StatusCode::kDeadlineExceeded;
+    });
+  }
+
+  // Derive the batch status from the per-entry statuses in query order so
+  // it does not depend on which worker reported first.
+  const Status* cancelled = nullptr;
+  const Status* deadline = nullptr;
+  for (const BatchResult& r : *results) {
+    if (r.status.ok()) continue;
+    switch (r.status.code()) {
+      case StatusCode::kCancelled:
+        if (cancelled == nullptr) cancelled = &r.status;
+        break;
+      case StatusCode::kDeadlineExceeded:
+        if (deadline == nullptr) deadline = &r.status;
+        break;
+      default:
+        return r.status;  // First hard error in query order wins.
+    }
+  }
+  if (cancelled != nullptr) return *cancelled;
+  if (deadline != nullptr) return *deadline;
+  return Status::OK();
 }
 
 Status IntervalIndex::SearchTuples(const Rect& query,
@@ -377,6 +428,17 @@ IntervalIndex::~IntervalIndex() {
   }
 }
 
+Result<std::vector<uint64_t>> IntervalIndex::NodesPerLevel() {
+  SEGIDX_ASSIGN_OR_RETURN(std::vector<rtree::RTree::LevelStats> stats,
+                          tree_->CollectLevelStats());
+  std::vector<uint64_t> nodes;
+  nodes.reserve(stats.size());
+  for (const rtree::RTree::LevelStats& level : stats) {
+    nodes.push_back(level.nodes);
+  }
+  return nodes;
+}
+
 Status IntervalIndex::CheckInvariants() {
   SEGIDX_ASSIGN_OR_RETURN(check::CheckReport report, CheckStructure());
   return report.ToStatus();
@@ -432,7 +494,6 @@ Result<storage::ScrubReport> IntervalIndex::Scrub(
   };
   std::vector<Item> stack;
   stack.push_back({tree_->root(), tree_->height() - 1});
-  uint64_t ignored_accesses = 0;
   while (!stack.empty()) {
     if (cancelled()) {
       report.completed = false;
@@ -443,8 +504,7 @@ Result<storage::ScrubReport> IntervalIndex::Scrub(
     stack.pop_back();
     ++report.extents_scanned;
     ++report.reachable_extents;
-    Result<rtree::Node> node_or =
-        tree_->ReadNode(item.id, &ignored_accesses);
+    Result<rtree::Node> node_or = tree_->ReadNode(item.id);
     if (!node_or.ok()) {
       defect(item.id, node_or.status().ToString(), /*structural=*/false);
       if (options.quarantine_damaged &&

@@ -39,7 +39,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "exec/query_engine.h"
+#include "exec/worker_pool.h"
 #include "rtree/bulk_load.h"
 #include "rtree/rtree.h"
 #include "skeleton/skeleton_index.h"
@@ -53,6 +53,23 @@ enum class IndexKind {
   kSRTree = 1,
   kSkeletonRTree = 2,
   kSkeletonSRTree = 3,
+};
+
+// One query's outcome within a SearchBatch. SearchBatch pre-marks every
+// entry kCancelled ("not claimed"); the worker that executes the query
+// overwrites `status` with that query's real outcome, so after any batch —
+// success, error, cancel, or deadline — each entry states deterministically
+// whether its `hits` are valid (status ok), partial (ok + partial), or
+// absent.
+struct BatchResult {
+  Status status = Status::OK();
+  std::vector<rtree::SearchHit> hits;
+  uint64_t nodes_accessed = 0;
+  // With SearchOptions::allow_partial, damaged subtrees are skipped rather
+  // than failing the query: `partial` is set and the skipped subtree roots
+  // are listed here. Hits outside the skipped subtrees are complete.
+  bool partial = false;
+  std::vector<storage::PageId> skipped_subtrees;
 };
 
 // Stable display name, e.g. "Skeleton SR-Tree".
@@ -138,7 +155,7 @@ class IntervalIndex {
                       uint64_t* nodes_accessed = nullptr);
 
   // Runs a batch of queries on a pool of `num_threads` worker threads
-  // (clamped to >= 1). Results come back in query order, identical to
+  // (clamped to [1, 64]). Results come back in query order, identical to
   // issuing each query through Search() serially. A still-buffering
   // skeleton index is finalized first (same auto-finalize as Search).
   // The worker pool is created on first use and kept for subsequent
@@ -147,14 +164,19 @@ class IntervalIndex {
   // consistent snapshot and its results are deterministic for that
   // snapshot (see docs/CONCURRENCY.md). One batch at a time per index.
   Status SearchBatch(const std::vector<Rect>& queries,
-                     std::vector<exec::BatchResult>* results,
+                     std::vector<BatchResult>* results,
                      int num_threads = 4);
   // Same, applying a per-batch deadline / cancel token / partial-results
-  // policy to every query (see exec::QueryEngine::SearchBatch for the
-  // per-entry status contract).
+  // policy to every query. `results` is resized to queries.size(). The
+  // batch stops claiming queries after a hard error or a fired cancel
+  // token; unclaimed entries stay kCancelled. An expired deadline keeps
+  // claiming: each remaining query fails its first deadline check
+  // without touching a page. The returned status is derived from the
+  // entries in query order: the first hard error wins, else kCancelled,
+  // else kDeadlineExceeded, else OK.
   Status SearchBatch(const std::vector<Rect>& queries,
                      const rtree::SearchOptions& options,
-                     std::vector<exec::BatchResult>* results,
+                     std::vector<BatchResult>* results,
                      int num_threads = 4);
 
   // Statically bulk-loads all records into an empty non-skeleton index
@@ -215,9 +237,8 @@ class IntervalIndex {
   }
   void ResetStats();
 
-  Result<std::vector<uint64_t>> NodesPerLevel() {
-    return tree_->CountNodesPerLevel();
-  }
+  // Index nodes per level (level 0 first), from CollectLevelStats().
+  Result<std::vector<uint64_t>> NodesPerLevel();
 
   // Escape hatches for tests and benchmarks.
   rtree::RTree* tree() { return tree_.get(); }
@@ -263,7 +284,7 @@ class IntervalIndex {
   std::unique_ptr<rtree::RTree> tree_;
   std::unique_ptr<skeleton::SkeletonIndex> skeleton_;  // Skeleton kinds only.
   // Lazily created by SearchBatch; rebuilt when the thread count changes.
-  std::unique_ptr<exec::QueryEngine> engine_;
+  std::unique_ptr<exec::WorkerPool> search_pool_;
   // Invoked under the commit's exclusive phase; see SetCommitMetaHook.
   CommitMetaHook commit_meta_hook_;
   std::vector<uint8_t> recovered_commit_meta_;

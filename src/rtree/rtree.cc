@@ -121,14 +121,8 @@ bool RTree::HasByteRoomForSpanning(const Node& node) const {
          NodeBytes(node.level);
 }
 
-Result<Node> RTree::ReadNode(storage::PageId id) {
-  CountNodeAccess();
-  SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page, pager_->Fetch(id));
-  return Node::Deserialize(page.data(), page.size());
-}
-
 Result<Node> RTree::ReadNode(storage::PageId id, uint64_t* accesses) const {
-  ++*accesses;
+  if (accesses != nullptr) ++*accesses;
   SEGIDX_ASSIGN_OR_RETURN(storage::PageHandle page, pager_->Fetch(id));
   return Node::Deserialize(page.data(), page.size());
 }
@@ -1118,21 +1112,6 @@ Result<int> RTree::CoalesceSparseLeaves(int max_candidates) {
 // Introspection
 // ---------------------------------------------------------------------------
 
-Result<std::vector<uint64_t>> RTree::CountNodesPerLevel() {
-  PhaseGate::Scope gate(&gate_, PhaseGate::Mode::kExclusive);
-  std::vector<uint64_t> counts(static_cast<size_t>(root_level_) + 1, 0);
-  std::vector<storage::PageId> stack{root_};
-  while (!stack.empty()) {
-    const storage::PageId id = stack.back();
-    stack.pop_back();
-    SEGIDX_ASSIGN_OR_RETURN(Node node, ReadNode(id));
-    SEGIDX_CHECK_LE(node.level, root_level_);
-    ++counts[node.level];
-    for (const BranchEntry& b : node.branches) stack.push_back(b.child);
-  }
-  return counts;
-}
-
 namespace {
 
 // Recursion helper for DumpStructure.
@@ -1194,12 +1173,19 @@ Result<std::vector<RTree::LevelStats>> RTree::CollectLevelStats() {
   struct Item {
     storage::PageId id;
     Rect region;
+    int level;  // Expected: the parent's level minus one.
   };
-  std::vector<Item> stack{{root_, root_region_}};
+  std::vector<Item> stack{{root_, root_region_, root_level_}};
   while (!stack.empty()) {
     const Item item = stack.back();
     stack.pop_back();
     SEGIDX_ASSIGN_OR_RETURN(Node node, ReadNode(item.id));
+    if (static_cast<int>(node.level) != item.level) {
+      return CorruptionError("node page at block " +
+                             std::to_string(item.id.block) + " has level " +
+                             std::to_string(node.level) + ", expected " +
+                             std::to_string(item.level));
+    }
     LevelStats& level = stats[node.level];
     ++level.nodes;
     level.branch_entries +=
@@ -1210,7 +1196,7 @@ Result<std::vector<RTree::LevelStats>> RTree::CollectLevelStats() {
     level.max_region_width =
         std::max(level.max_region_width, item.region.x.length());
     for (const BranchEntry& b : node.branches) {
-      stack.push_back({b.child, b.rect});
+      stack.push_back({b.child, b.rect, item.level - 1});
     }
   }
   for (LevelStats& level : stats) {

@@ -136,8 +136,8 @@ struct SearchHit {
 };
 
 // Per-query runtime controls, threaded from the public facade
-// (core::IntervalIndex) and the batch engine (exec::QueryEngine) down to
-// the node-fetch loop. Shared by the R-Tree and SR-Tree (one search path).
+// (core::IntervalIndex, including its batch searches) down to the
+// node-fetch loop. Shared by the R-Tree and SR-Tree (one search path).
 struct SearchOptions {
   // Absolute deadline. Checked before every node fetch, so a pre-expired
   // deadline returns kDeadlineExceeded without touching a single node.
@@ -223,10 +223,11 @@ class RTree {
                 SearchOutcome* outcome = nullptr);
 
   // Search body without entering the phase gate: for callers that already
-  // hold the read phase (exec::QueryEngine enters once per batch and fans
-  // queries out to workers). Entering the gate again from a worker would
-  // deadlock under the gate's fairness rotation, so nested entries must
-  // use this. Callers MUST hold the read (or exclusive) phase.
+  // hold the read phase (IntervalIndex::SearchBatch enters once per batch
+  // and fans queries out to pool workers). Entering the gate again from a
+  // worker would deadlock under the gate's fairness rotation, so nested
+  // entries must use this. Callers MUST hold the read (or exclusive)
+  // phase.
   Status SearchGateHeld(const Rect& query, const SearchOptions& options,
                         std::vector<SearchHit>* out,
                         SearchOutcome* outcome = nullptr);
@@ -242,7 +243,7 @@ class RTree {
   // The tree's phase gate. Layers above enter it around operations the
   // tree cannot gate itself: exclusive for SaveMeta + Checkpoint (group
   // commit) and bulk loading, read-shared for whole batches of searches
-  // (exec::QueryEngine) or a consistent scrub walk.
+  // (IntervalIndex::SearchBatch) or a consistent scrub walk.
   PhaseGate& phase_gate() { return gate_; }
 
   // Materializes a pre-partitioned skeleton hierarchy (the tree must be
@@ -299,9 +300,6 @@ class RTree {
   // byte share (enforced under kDescend / kEvictSmallest).
   size_t SpanningCapacity(int level) const;
 
-  // Total index nodes, by level (level 0 first); walks the tree.
-  Result<std::vector<uint64_t>> CountNodesPerLevel();
-
   // --- read-only introspection (structure checker, tools) ----------------
 
   // Page id of the root node.
@@ -309,13 +307,11 @@ class RTree {
   // Region enclosing the whole tree; meaningful when root_region_valid().
   const Rect& root_region() const { return root_region_; }
   bool root_region_valid() const { return root_region_valid_; }
-  // Reads and deserializes one node (checksum-verified). Counts as a node
-  // access for the active operation's statistics.
-  Result<Node> ReadNode(storage::PageId id);
-  // Same, but charges the visit to the caller-provided counter instead of
-  // the shared per-operation counter — the read path concurrent searches
-  // use.
-  Result<Node> ReadNode(storage::PageId id, uint64_t* accesses) const;
+  // Reads and deserializes one node (checksum-verified). When `accesses`
+  // is given, the visit is counted there: each operation (search, insert)
+  // counts into its own counter, so concurrent operations never share one.
+  Result<Node> ReadNode(storage::PageId id,
+                        uint64_t* accesses = nullptr) const;
   // Extent size class / byte size a node at `level` is expected to use
   // (Section 2.1.2 doubling, capped at the pager's maximum size class).
   uint8_t SizeClassForLevel(int level) const;
@@ -326,7 +322,9 @@ class RTree {
   // `max_depth` levels below the root; -1 dumps the whole tree.
   Status DumpStructure(std::ostream& os, int max_depth = -1);
 
-  // Aggregate per-level structure statistics (walks the tree).
+  // Aggregate per-level structure statistics (walks the tree; `nodes` is
+  // the node count per level). A node whose level is not its parent's
+  // level minus one fails the walk with kCorruption naming the page.
   struct LevelStats {
     uint64_t nodes = 0;
     uint64_t branch_entries = 0;    // Leaf records at level 0.
@@ -399,10 +397,6 @@ class RTree {
   bool NonLeafOverflowed(const Node& node) const;
   // Whether one more spanning entry still fits in the node's bytes.
   bool HasByteRoomForSpanning(const Node& node) const;
-  // Node visit accounting for the active operation. Exclusive-phase
-  // operations only (the shared counter would race between concurrent
-  // writers; the mutation path counts into InsertContext::node_accesses).
-  void CountNodeAccess() { ++op_node_accesses_; }
 
   // Bumps a TreeStats counter with a relaxed atomic (mutation paths run
   // write-shared, so plain increments would race).
@@ -511,9 +505,6 @@ class RTree {
   common::Mutex leaf_mu_;
   std::unordered_map<uint32_t, uint64_t> leaf_mod_counts_
       GUARDED_BY(leaf_mu_);
-
-  // Exclusive-phase operations only; see CountNodeAccess().
-  uint64_t op_node_accesses_ = 0;
 };
 
 }  // namespace segidx::rtree

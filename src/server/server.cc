@@ -113,15 +113,12 @@ Status Server::Start() {
   ev.data.fd = wake_pipe_[0];
   epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_pipe_[0], &ev);
 
-  exec::WritePoolOptions wopts;
-  wopts.num_threads = options_.write_threads;
-  // No commit callback: the write dispatcher is the only checkpoint
+  // Pool workers only insert; the write dispatcher is the only checkpoint
   // initiator while serving, so it can record exactly-once verdicts in
   // the dedup window *before* the checkpoint that persists them — a
   // worker-initiated commit could otherwise race the window update and
   // persist data without the verdicts that acknowledge it.
-  write_pool_ =
-      std::make_unique<exec::WritePool>(index_->tree(), nullptr, wopts);
+  write_pool_ = std::make_unique<exec::WorkerPool>(options_.write_threads);
 
   // The dedup window travels with every checkpoint (the hook runs inside
   // Commit, under the pager's exclusive phase) and is restored from the
@@ -176,8 +173,8 @@ void Server::Stop() {
   search_thread_.join();
   write_thread_.join();
   if (scrub_thread_.joinable()) scrub_thread_.join();
-  // Dispatchers are gone, so ApplyBatch can never run again; tear the
-  // pool down before the final checkpoint.
+  // Dispatchers are gone, so no insert chunk can run again; tear the pool
+  // down before the final checkpoint.
   write_pool_.reset();
 
   // Final durability point for everything acknowledged above. Ignore the
@@ -363,8 +360,8 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       (req.type == MsgType::kInsert ? inserts_ : deletes_)
           .fetch_add(1, std::memory_order_relaxed);
       if (!req.rect.valid()) {
-        // Reject here: one bad rect inside a WritePool run would fail the
-        // whole batch for its neighbors.
+        // Reject here: one bad rect inside an insert chunk would stop the
+        // chunk for its neighbors.
         SendResponse(conn, req.type, req.request_id,
                      InvalidArgumentError("invalid rectangle"), nullptr,
                      /*counted=*/false);
@@ -544,7 +541,7 @@ void Server::SearchLoop() {
 
     batches_.fetch_add(1, std::memory_order_relaxed);
     batch_queries_.fetch_add(live.size(), std::memory_order_relaxed);
-    std::vector<exec::BatchResult> results;
+    std::vector<core::BatchResult> results;
     const Status batch_status =
         index_->SearchBatch(queries, so, &results, options_.search_threads);
     if (results.size() != live.size()) {
@@ -562,7 +559,7 @@ void Server::SearchLoop() {
     const Clock::time_point after = Clock::now();
     for (size_t i = 0; i < live.size(); ++i) {
       PendingSearch& p = live[i];
-      exec::BatchResult& r = results[i];
+      core::BatchResult& r = results[i];
       if (r.status.ok()) {
         if (r.partial && !p.allow_partial) {
           SendResponse(p.conn, MsgType::kSearch, p.request_id,
@@ -638,8 +635,9 @@ void Server::WriteLoop() {
 }
 
 void Server::ExecuteWrites(std::vector<PendingWrite> work) {
-  // Arrival order is preserved: consecutive inserts coalesce into
-  // WritePool runs (commit_every ops per chunk, one checkpoint each);
+  // Arrival order is preserved: consecutive inserts coalesce into runs,
+  // applied on the write pool in chunks (commit_every ops per chunk, one
+  // checkpoint each);
   // consecutive commits are acknowledged by a single checkpoint.
   //
   // Exactly-once discipline for session-tagged ops (session_id != 0):
@@ -691,52 +689,46 @@ void Server::ExecuteWrites(std::vector<PendingWrite> work) {
 
   // Applies one chunk of the insert run and checkpoints it.
   auto flush_chunk = [&](const size_t* idx, size_t n) {
-    std::vector<exec::WriteOp> ops;
-    ops.reserve(n);
-    for (size_t k = 0; k < n; ++k) {
-      ops.push_back(exec::WriteOp{work[idx[k]].rect, work[idx[k]].tid});
-    }
-    std::vector<exec::WriteOpResult> results;
-    (void)write_pool_->ApplyBatch(ops, &results);
+    // Each claimed insert's own status; an insert left empty was never
+    // claimed, because the chunk stopped at a neighbor's failure.
+    std::vector<std::optional<Status>> outcome(n);
+    write_pool_->Run(n, [&](size_t k) {
+      const PendingWrite& op = work[idx[k]];
+      const Status status = index_->tree()->Insert(op.rect, op.tid);
+      outcome[k] = status;
+      return status.ok();
+    });
     // Provisional verdicts first, then the checkpoint: the window blob the
     // commit-meta hook serializes must already acknowledge everything the
     // checkpoint is about to make durable.
     for (size_t k = 0; k < n; ++k) {
       const PendingWrite& op = work[idx[k]];
-      if (op.session_id != 0 &&
-          results[k].outcome == exec::WriteOpResult::Outcome::kApplied) {
+      const std::optional<Status>& status = outcome[k];
+      if (op.session_id != 0 && status.has_value() && status->ok()) {
         dedup_.Record(op.session_id, op.seq, StatusCode::kOk);
       }
     }
     const Status commit_status = index_->Commit();
     for (size_t k = 0; k < n; ++k) {
       const PendingWrite& op = work[idx[k]];
-      switch (results[k].outcome) {
-        case exec::WriteOpResult::Outcome::kApplied:
-          if (commit_status.ok()) {
-            SendResponse(op.conn, MsgType::kInsert, op.request_id,
-                         Status::OK());
-          } else {
-            if (op.session_id != 0) {
-              dedup_.Record(op.session_id, op.seq, commit_status.code());
-            }
-            SendResponse(
-                op.conn, MsgType::kInsert, op.request_id,
-                Status(commit_status.code(),
-                       commit_status.message() +
-                           " (insert applied but not yet durable; "
-                           "retry to checkpoint it)"));
-          }
-          break;
-        case exec::WriteOpResult::Outcome::kFailed:
-          SendResponse(op.conn, MsgType::kInsert, op.request_id,
-                       results[k].status);
-          break;
-        case exec::WriteOpResult::Outcome::kSkipped:
-          SendResponse(op.conn, MsgType::kInsert, op.request_id,
-                       CancelledError("not applied: batch aborted by a "
-                                      "neighbor's failure — safe to retry"));
-          break;
+      const std::optional<Status>& status = outcome[k];
+      if (!status.has_value()) {
+        SendResponse(op.conn, MsgType::kInsert, op.request_id,
+                     CancelledError("not applied: batch aborted by a "
+                                    "neighbor's failure — safe to retry"));
+      } else if (!status->ok()) {
+        SendResponse(op.conn, MsgType::kInsert, op.request_id, *status);
+      } else if (commit_status.ok()) {
+        SendResponse(op.conn, MsgType::kInsert, op.request_id, Status::OK());
+      } else {
+        if (op.session_id != 0) {
+          dedup_.Record(op.session_id, op.seq, commit_status.code());
+        }
+        SendResponse(op.conn, MsgType::kInsert, op.request_id,
+                     Status(commit_status.code(),
+                            commit_status.message() +
+                                " (insert applied but not yet durable; "
+                                "retry to checkpoint it)"));
       }
     }
   };

@@ -6,13 +6,15 @@
 // index-level batch entry points the engine already amortizes:
 //
 //   * Searches from all connections are coalesced by a dispatcher thread
-//     into one exec::SearchBatch per round — one read-phase admission per
-//     batch, so the whole batch sees a single consistent snapshot
-//     (docs/CONCURRENCY.md) and the phase gate rotates once, not once per
-//     request.
-//   * Inserts are drained into exec::WritePool::ApplyBatch runs, whose
-//     workers commit on a cadence through the pager's group-commit
-//     sequencer — N connections' writes share fsync rounds.
+//     into one IntervalIndex::SearchBatch per round — one read-phase
+//     admission per batch, so the whole batch sees a single consistent
+//     snapshot (docs/CONCURRENCY.md) and the phase gate rotates once, not
+//     once per request.
+//   * Consecutive queued inserts are applied by the server's own
+//     exec::WorkerPool in chunks of `commit_every`. The write dispatcher
+//     is the only checkpoint initiator: it runs one checkpoint per chunk
+//     and acknowledges the chunk's inserts after it — N connections'
+//     writes share one fsync round.
 //   * Explicit kCommit requests arriving together are acknowledged by one
 //     checkpoint.
 //
@@ -50,7 +52,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/interval_index.h"
-#include "exec/write_pool.h"
+#include "exec/worker_pool.h"
 #include "server/dedup_window.h"
 #include "server/protocol.h"
 
@@ -62,8 +64,8 @@ struct ServerOptions {
   uint16_t port = 0;
   int backlog = 128;
 
-  // Worker width of the coalesced search batches (exec::QueryEngine) and
-  // of the insert runs (exec::WritePool).
+  // Worker width of the coalesced search batches (the index's search
+  // pool) and of the insert chunks (the server's write pool).
   int search_threads = 4;
   int write_threads = 2;
 
@@ -75,8 +77,9 @@ struct ServerOptions {
   // Per-connection limit on requests accepted but not yet answered.
   int max_inflight_per_conn = 64;
 
-  // WritePool cadence: each write worker commits after this many applied
-  // inserts (0 = only explicit kCommit requests checkpoint).
+  // Insert chunk size: the write dispatcher applies a run of queued
+  // inserts in chunks of this many and checkpoints once per chunk
+  // (0 = one chunk per run).
   uint64_t commit_every = 512;
 
   // Server-side deadline applied to searches that carry no client budget
@@ -137,7 +140,7 @@ struct ServerStatsSnapshot {
 class Server {
  public:
   // The index must outlive the server. The server issues SearchBatch,
-  // WritePool inserts, Delete, Commit, Scrub, and stats reads against it;
+  // pooled tree inserts, Delete, Commit, Scrub, and stats reads against it;
   // other threads may keep using the index concurrently (the engine's
   // normal concurrency contract applies).
   Server(core::IntervalIndex* index, const ServerOptions& options);
@@ -234,8 +237,8 @@ class Server {
   void EnqueueWrite(const std::shared_ptr<Connection>& conn,
                     const Request& req);
   // Runs one drained segment of the write queue in arrival order:
-  // consecutive inserts become one WritePool run, consecutive commits one
-  // checkpoint.
+  // consecutive inserts become pooled chunks, one checkpoint each;
+  // consecutive commits one checkpoint.
   void ExecuteWrites(std::vector<PendingWrite> work);
 
   // Encodes and writes one response frame; decrements the connection's
@@ -279,7 +282,9 @@ class Server {
   // Owned by the I/O thread while running; read by Stop() after the join.
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;
 
-  std::unique_ptr<exec::WritePool> write_pool_;
+  // Applies insert chunks; separate from the index's search pool (see
+  // exec/worker_pool.h).
+  std::unique_ptr<exec::WorkerPool> write_pool_;
 
   std::thread io_thread_;
   std::thread search_thread_;

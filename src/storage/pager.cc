@@ -178,7 +178,6 @@ Result<std::unique_ptr<Pager>> Pager::Create(
       pager->device_->Write(options.base_block_size, zero.data(),
                             zero.size()));
 
-  pager->report_.format_version = kFormatVersionV2;
   pager->report_.active_slot = 0;
   pager->report_.epoch = 1;
   return pager;
@@ -418,7 +417,6 @@ void Pager::AdoptSlot(int index, const SlotState& slot,
   for (const PageId& id : scraps) {
     run_scrap_[id.size_class].push_back(id.block);
   }
-  report_.format_version = kFormatVersionV2;
   report_.active_slot = index;
   report_.epoch = slot.epoch;
 }

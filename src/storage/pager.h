@@ -172,7 +172,6 @@ struct PagerOptions {
 // unusable (a torn checkpoint we fell back across), and how much of the
 // winning checkpoint's journal was replayed.
 struct RecoveryReport {
-  uint32_t format_version = 0;
   int active_slot = -1;       // Winning slot index.
   uint64_t epoch = 0;         // Epoch of the recovered state.
   // True when exactly one slot was usable — i.e. the file carries evidence

@@ -52,7 +52,6 @@ Result<std::vector<NodeInfo>> MapTree(IntervalIndex* index) {
   };
   std::vector<Item> stack;
   stack.push_back({index->tree()->root(), -1});
-  uint64_t accesses = 0;
   while (!stack.empty()) {
     const Item item = stack.back();
     stack.pop_back();
@@ -60,7 +59,7 @@ Result<std::vector<NodeInfo>> MapTree(IntervalIndex* index) {
     nodes.push_back({item.id, item.parent, {}, {}});
     if (item.parent >= 0) nodes[item.parent].children.push_back(me);
     SEGIDX_ASSIGN_OR_RETURN(rtree::Node node,
-                            index->tree()->ReadNode(item.id, &accesses));
+                            index->tree()->ReadNode(item.id));
     if (node.is_leaf()) {
       for (const rtree::LeafEntry& e : node.records) {
         nodes[me].piece_tids.push_back(e.tid);

@@ -74,7 +74,7 @@ struct ServeTortureOptions {
   double delay_prob = 0.05;
   uint32_t max_delay_us = 500;
 
-  // Server-side WritePool chunk size (ServerOptions::commit_every).
+  // Server-side insert chunk size (ServerOptions::commit_every).
   uint64_t server_commit_every = 32;
   // Per-operation client retry budget; must ride out crash + recovery +
   // restart.

@@ -90,8 +90,8 @@ TEST(BulkLoadTest, PacksNodesFull) {
       BulkLoad(tree.get(), MakeRecords(workload::DatasetKind::kR1, 10000, 5))
           .ok());
   // 10000 records / 25 per leaf = exactly 400 full leaves.
-  const auto counts = tree->CountNodesPerLevel().value();
-  EXPECT_EQ(counts[0], 400u);
+  const uint64_t leaves = tree->CollectLevelStats().value()[0].nodes;
+  EXPECT_EQ(leaves, 400u);
   // A dynamically grown tree is ~60-70% full: far more leaves.
   auto pager2 = MakeMemoryPager();
   auto dynamic_tree = RTree::Create(pager2.get(), TreeOptions()).value();
@@ -99,8 +99,9 @@ TEST(BulkLoadTest, PacksNodesFull) {
        MakeRecords(workload::DatasetKind::kR1, 10000, 5)) {
     ASSERT_TRUE(dynamic_tree->Insert(rect, tid).ok());
   }
-  const auto dynamic_counts = dynamic_tree->CountNodesPerLevel().value();
-  EXPECT_GT(dynamic_counts[0], counts[0] * 5 / 4);
+  const uint64_t dynamic_leaves =
+      dynamic_tree->CollectLevelStats().value()[0].nodes;
+  EXPECT_GT(dynamic_leaves, leaves * 5 / 4);
 }
 
 TEST(BulkLoadTest, PartialFillFraction) {
@@ -111,8 +112,7 @@ TEST(BulkLoadTest, PartialFillFraction) {
                        PackingMethod::kSTR, /*fill_fraction=*/0.5)
                   .ok());
   // 1000 records / 12 per leaf.
-  const auto counts = tree->CountNodesPerLevel().value();
-  EXPECT_GE(counts[0], 83u);
+  EXPECT_GE(tree->CollectLevelStats().value()[0].nodes, 83u);
   ASSERT_TRUE(CheckTree(tree.get()).ok());
 }
 

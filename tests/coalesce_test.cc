@@ -34,7 +34,7 @@ TEST(CoalesceChainTest, EmptyGridCollapsesInOnePass) {
   auto pager = MakeMemoryPager();
   auto tree = RTree::Create(pager.get(), TreeOptions()).value();
   ASSERT_TRUE(tree->PreBuild(Grid5x5()).ok());
-  EXPECT_EQ(tree->CountNodesPerLevel().value()[0], 25u);
+  EXPECT_EQ(tree->CollectLevelStats().value()[0].nodes, 25u);
 
   // A single candidate can absorb every adjacent sibling in a chain.
   const auto merged = tree->CoalesceSparseLeaves(25);
@@ -42,7 +42,7 @@ TEST(CoalesceChainTest, EmptyGridCollapsesInOnePass) {
   // 25 empty cells collapse dramatically (each candidate chain-merges its
   // whole neighborhood).
   EXPECT_GE(*merged, 20);
-  EXPECT_LE(tree->CountNodesPerLevel().value()[0], 5u);
+  EXPECT_LE(tree->CollectLevelStats().value()[0].nodes, 5u);
   ASSERT_TRUE(CheckTree(tree.get()).ok());
 }
 
@@ -65,7 +65,7 @@ TEST(CoalesceChainTest, StopsAtLeafCapacity) {
   }
   const auto merged = tree->CoalesceSparseLeaves(25);
   ASSERT_TRUE(merged.ok());
-  const auto leaves = tree->CountNodesPerLevel().value()[0];
+  const auto leaves = tree->CollectLevelStats().value()[0].nodes;
   // 250 records / 25 capacity = 10 leaves minimum; pairs-only merging from
   // 25 cells cannot go below 13.
   EXPECT_GE(leaves, 13u);

@@ -321,7 +321,7 @@ TEST(ConcurrentSearchBatchTest, BatchIsOneSnapshotWhileWritersRun) {
       doubled.push_back(q);
       doubled.push_back(q);
     }
-    std::vector<exec::BatchResult> results;
+    std::vector<core::BatchResult> results;
     ASSERT_TRUE(index->SearchBatch(doubled, &results, /*num_threads=*/4)
                     .ok());
     for (size_t i = 0; i < doubled.size(); i += 2) {

@@ -169,7 +169,6 @@ TEST(DualSlotTest, FreshCreateReportsSlotZeroEpochOne) {
       Pager::Create(std::make_unique<MemoryBlockDevice>(), SmallPagerOptions())
           .value();
   const storage::RecoveryReport& report = pager->recovery_report();
-  EXPECT_EQ(report.format_version, 2u);
   EXPECT_EQ(report.active_slot, 0);
   EXPECT_EQ(report.epoch, 1u);
   EXPECT_FALSE(report.fell_back);

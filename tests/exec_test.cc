@@ -1,11 +1,15 @@
-// QueryEngine / parallel read-path tests. The Concurrent* tests are the
-// ones the ThreadSanitizer CI job is aimed at: they overlap many searches
-// on one tree through a deliberately tiny buffer pool, so pager latching,
-// eviction write-back, and stats counters all run under contention.
+// exec::WorkerPool and parallel read-path (IntervalIndex::SearchBatch)
+// tests. The Concurrent* tests are the ones the ThreadSanitizer CI job is
+// aimed at: they overlap many searches on one tree through a deliberately
+// tiny buffer pool, so pager latching, eviction write-back, and stats
+// counters all run under contention.
 
-#include "exec/query_engine.h"
+#include "exec/worker_pool.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -47,6 +51,73 @@ std::vector<Rect> TestQueries(int count) {
                                    /*seed=*/11);
 }
 
+// Runs `n` indexes through `pool` and returns how often each one ran.
+std::vector<int> RunCounts(exec::WorkerPool* pool, size_t n,
+                           size_t stop_at = SIZE_MAX) {
+  std::vector<std::atomic<int>> counts(n);
+  pool->Run(n, [&](size_t i) {
+    counts[i].fetch_add(1);
+    return i != stop_at;
+  });
+  std::vector<int> out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = counts[i].load();
+  return out;
+}
+
+TEST(WorkerPoolTest, RunsEveryIndexExactlyOnce) {
+  const size_t sizes[] = {0, 1, 7, 1000};
+  // 0 threads is clamped to one worker.
+  for (int threads : {0, 1, 2, 4, 8}) {
+    exec::WorkerPool pool(threads);
+    EXPECT_EQ(pool.num_threads(), std::max(threads, 1));
+    for (size_t n : sizes) {
+      EXPECT_EQ(RunCounts(&pool, n), std::vector<int>(n, 1))
+          << "n=" << n << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(WorkerPoolTest, SingleThreadStopsRightAfterFalse) {
+  exec::WorkerPool pool(1);
+  const std::vector<int> counts = RunCounts(&pool, 10, /*stop_at=*/3);
+  for (size_t i = 0; i < counts.size(); ++i) {
+    EXPECT_EQ(counts[i], i <= 3 ? 1 : 0) << "index " << i;
+  }
+}
+
+TEST(WorkerPoolTest, StopLeavesLaterIndexesUnclaimed) {
+  exec::WorkerPool pool(4);
+  constexpr size_t kN = 1000;
+  std::vector<std::atomic<int>> counts(kN);
+  // Index 0 is the first claim and stops the run at once; every other
+  // body takes a millisecond, so the other workers can claim only a few
+  // indexes before they see the stop.
+  pool.Run(kN, [&](size_t i) {
+    counts[i].fetch_add(1);
+    if (i == 0) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return true;
+  });
+  EXPECT_EQ(counts[0].load(), 1);
+  size_t ran = 0;
+  for (size_t i = 0; i < kN; ++i) {
+    EXPECT_LE(counts[i].load(), 1) << "index " << i;
+    ran += static_cast<size_t>(counts[i].load());
+  }
+  EXPECT_LT(ran, kN);
+}
+
+TEST(WorkerPoolTest, ServesConsecutiveRuns) {
+  exec::WorkerPool pool(4);
+  for (int round = 0; round < 50; ++round) {
+    const size_t n = static_cast<size_t>(round) * 3;
+    // A stopped run must not leak its stop into the next one.
+    EXPECT_EQ(RunCounts(&pool, n), std::vector<int>(n, 1))
+        << "round " << round;
+    RunCounts(&pool, 100, /*stop_at=*/0);
+  }
+}
+
 bool SameHits(const std::vector<rtree::SearchHit>& a,
               const std::vector<rtree::SearchHit>& b) {
   if (a.size() != b.size()) return false;
@@ -69,7 +140,7 @@ TEST(QueryEngineTest, BatchMatchesSerialSearch) {
   }
 
   for (int threads : {1, 2, 4}) {
-    std::vector<exec::BatchResult> results;
+    std::vector<core::BatchResult> results;
     ASSERT_TRUE(index->SearchBatch(queries, &results, threads).ok());
     ASSERT_EQ(results.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -82,7 +153,7 @@ TEST(QueryEngineTest, BatchMatchesSerialSearch) {
 
 TEST(QueryEngineTest, EmptyBatchSucceeds) {
   auto index = BuildIndex(IndexKind::kRTree, IndexOptions());
-  std::vector<exec::BatchResult> results = {exec::BatchResult{}};
+  std::vector<core::BatchResult> results = {core::BatchResult{}};
   ASSERT_TRUE(index->SearchBatch({}, &results, 2).ok());
   EXPECT_TRUE(results.empty());
 }
@@ -91,7 +162,7 @@ TEST(QueryEngineTest, InvalidQuerySurfacesFirstError) {
   auto index = BuildIndex(IndexKind::kRTree, IndexOptions());
   std::vector<Rect> queries = TestQueries(8);
   queries[3] = Rect(10, 0, 10, 0);  // Inverted: invalid.
-  std::vector<exec::BatchResult> results;
+  std::vector<core::BatchResult> results;
   const Status st = index->SearchBatch(queries, &results, 4);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
@@ -99,7 +170,7 @@ TEST(QueryEngineTest, InvalidQuerySurfacesFirstError) {
 TEST(QueryEngineTest, EngineReusableAcrossBatches) {
   auto index = BuildIndex(IndexKind::kRTree, IndexOptions());
   const std::vector<Rect> queries = TestQueries(16);
-  std::vector<exec::BatchResult> first, second;
+  std::vector<core::BatchResult> first, second;
   ASSERT_TRUE(index->SearchBatch(queries, &first, 2).ok());
   ASSERT_TRUE(index->SearchBatch(queries, &second, 2).ok());
   ASSERT_EQ(first.size(), second.size());
@@ -117,7 +188,7 @@ TEST(QueryEngineTest, BatchAutoFinalizesBufferingSkeleton) {
   auto index = BuildIndex(IndexKind::kSkeletonRTree, options);
   ASSERT_TRUE(index->skeleton_building());
   const std::vector<Rect> queries = TestQueries(16);
-  std::vector<exec::BatchResult> results;
+  std::vector<core::BatchResult> results;
   ASSERT_TRUE(index->SearchBatch(queries, &results, 2).ok());
   EXPECT_FALSE(index->skeleton_building());
   // And it agrees with serial search on the finalized tree.
@@ -179,7 +250,7 @@ TEST(ConcurrentSearchTest, BatchesOnSkeletonSRTreeMatchSerial) {
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(index->tree()->Search(queries[i], &serial[i]).ok());
   }
-  std::vector<exec::BatchResult> results;
+  std::vector<core::BatchResult> results;
   ASSERT_TRUE(index->SearchBatch(queries, &results, 8).ok());
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_TRUE(SameHits(results[i].hits, serial[i])) << "query " << i;

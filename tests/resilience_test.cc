@@ -97,14 +97,13 @@ struct NodeInfo {
 std::vector<NodeInfo> MapTree(IntervalIndex* index) {
   std::vector<NodeInfo> nodes;
   std::vector<std::pair<PageId, int>> stack{{index->tree()->root(), -1}};
-  uint64_t accesses = 0;
   while (!stack.empty()) {
     const auto [id, parent] = stack.back();
     stack.pop_back();
     const size_t me = nodes.size();
     nodes.push_back({id, parent, {}, {}});
     if (parent >= 0) nodes[parent].children.push_back(me);
-    auto node = index->tree()->ReadNode(id, &accesses);
+    auto node = index->tree()->ReadNode(id);
     EXPECT_TRUE(node.ok()) << node.status().ToString();
     if (!node.ok()) continue;
     if (node->is_leaf()) {
@@ -192,14 +191,14 @@ TEST(ResilienceTest, BatchWithExpiredDeadlineFailsEveryEntryCheaply) {
   options.deadline = std::chrono::steady_clock::now() -
                      std::chrono::milliseconds(1);
   const std::vector<Rect> queries(6, kEverything);
-  std::vector<exec::BatchResult> results;
+  std::vector<core::BatchResult> results;
   const Status status = index->SearchBatch(queries, options, &results, 2);
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
       << status.ToString();
   ASSERT_EQ(results.size(), queries.size());
   // Deadline expiry is per-query, not batch-fatal: every entry is still
   // claimed and fails its own first deadline check without touching a node.
-  for (const exec::BatchResult& r : results) {
+  for (const core::BatchResult& r : results) {
     EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
         << r.status.ToString();
     EXPECT_EQ(r.nodes_accessed, 0u);
@@ -298,7 +297,7 @@ TEST(ResilienceTest, CorruptInteriorNodePartialSearchScrubAndSalvage) {
                              &serial_outcomes[i])
                     .ok());
   }
-  std::vector<exec::BatchResult> batch;
+  std::vector<core::BatchResult> batch;
   ASSERT_TRUE(index->SearchBatch(queries, partial, &batch, 2).ok());
   ASSERT_EQ(batch.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -383,7 +382,7 @@ TEST(ResilienceTest, BatchMidBatchReadErrorContract) {
 
   const std::vector<Rect> queries{narrow0, narrow1, kEverything, narrow0,
                                   narrow1};
-  std::vector<exec::BatchResult> results;
+  std::vector<core::BatchResult> results;
   const Status status =
       index->SearchBatch(queries, rtree::SearchOptions(), &results, 1);
   EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
@@ -399,10 +398,10 @@ TEST(ResilienceTest, BatchMidBatchReadErrorContract) {
   EXPECT_EQ(index->pager()->quarantined_count(), 0u);
   EXPECT_FALSE(index->pager()->degraded());
   dev->ClearFaults();
-  std::vector<exec::BatchResult> retry;
+  std::vector<core::BatchResult> retry;
   ASSERT_TRUE(
       index->SearchBatch(queries, rtree::SearchOptions(), &retry, 1).ok());
-  for (const exec::BatchResult& r : retry) EXPECT_TRUE(r.status.ok());
+  for (const core::BatchResult& r : retry) EXPECT_TRUE(r.status.ok());
 }
 
 TEST(ResilienceTest, FlakyReadsSkipSubtreesWithoutQuarantine) {

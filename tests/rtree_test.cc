@@ -100,14 +100,42 @@ TEST(RTreeTest, GrowsInHeightAndStaysBalanced) {
   // The structure check validates that all leaves share level 0.
   ASSERT_TRUE(CheckTree(tree.get()).ok());
 
-  auto counts = tree->CountNodesPerLevel();
-  ASSERT_TRUE(counts.ok());
-  ASSERT_EQ(counts->size(), static_cast<size_t>(tree->height()));
+  auto stats = tree->CollectLevelStats();
+  ASSERT_TRUE(stats.ok());
+  ASSERT_EQ(stats->size(), static_cast<size_t>(tree->height()));
   // Strictly shrinking level populations up the tree; single root on top.
-  EXPECT_EQ(counts->back(), 1u);
-  for (size_t i = 1; i < counts->size(); ++i) {
-    EXPECT_LT((*counts)[i], (*counts)[i - 1]);
+  EXPECT_EQ(stats->back().nodes, 1u);
+  for (size_t i = 1; i < stats->size(); ++i) {
+    EXPECT_LT((*stats)[i].nodes, (*stats)[i - 1].nodes);
   }
+}
+
+// A CRC-valid page claiming a level above the root's (damaged file) must
+// fail the per-level walk, not index past its per-level table.
+TEST(RTreeTest, LevelStatsRejectsNodeAtWrongLevel) {
+  auto pager = MakeMemoryPager();
+  auto tree = MakeTree(pager.get());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(tree->Insert(Rect::Point(i, i), i).ok());
+  }
+  ASSERT_EQ(tree->height(), 2);
+  const storage::PageId leaf =
+      tree->ReadNode(tree->root()).value().branches[0].child;
+  {
+    auto page = pager->Fetch(leaf);
+    ASSERT_TRUE(page.ok());
+    Node bogus;
+    bogus.level = 5;
+    ASSERT_TRUE(bogus.Serialize(page->data(), page->size()).ok());
+    page->MarkDirty();
+  }
+  auto stats = tree->CollectLevelStats();
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(stats.status().message().find(
+                "block " + std::to_string(leaf.block)),
+            std::string::npos)
+      << stats.status().ToString();
 }
 
 TEST(RTreeTest, VariableNodeSizeDoublesPerLevel) {
@@ -218,10 +246,10 @@ TEST(RTreeTest, SearchVisitsFewNodesForPointQueries) {
     const Coord y = rng.Uniform(0, 100000);
     ASSERT_TRUE(tree->Insert(Rect(x, x + 5, y, y + 5), i).ok());
   }
-  auto counts = tree->CountNodesPerLevel();
-  ASSERT_TRUE(counts.ok());
+  auto stats = tree->CollectLevelStats();
+  ASSERT_TRUE(stats.ok());
   uint64_t total_nodes = 0;
-  for (uint64_t n : *counts) total_nodes += n;
+  for (const RTree::LevelStats& level : *stats) total_nodes += level.nodes;
 
   std::vector<SearchHit> hits;
   uint64_t accesses = 0;

@@ -45,11 +45,11 @@ TEST(PreBuildTest, MaterializesTheSpecExactly) {
   ASSERT_TRUE(tree->PreBuild(spec).ok());
 
   EXPECT_EQ(tree->height(), 3);
-  auto counts = tree->CountNodesPerLevel();
-  ASSERT_TRUE(counts.ok());
-  EXPECT_EQ((*counts)[0], 16u);
-  EXPECT_EQ((*counts)[1], 4u);
-  EXPECT_EQ((*counts)[2], 1u);
+  auto stats = tree->CollectLevelStats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ((*stats)[0].nodes, 16u);
+  EXPECT_EQ((*stats)[1].nodes, 4u);
+  EXPECT_EQ((*stats)[2].nodes, 1u);
   ASSERT_TRUE(CheckTree(tree.get()).ok());
 
   // Searches over the empty skeleton find nothing but are well-formed.
@@ -108,13 +108,13 @@ TEST(CoalesceTest, MergesAdjacentSparseLeaves) {
   spec.levels.push_back(rtree::SkeletonLevel{bounds, bounds});
   ASSERT_TRUE(tree->PreBuild(spec).ok());
 
-  auto before = tree->CountNodesPerLevel().value();
-  EXPECT_EQ(before[0], 36u);
+  const uint64_t before = tree->CollectLevelStats().value()[0].nodes;
+  EXPECT_EQ(before, 36u);
   const auto merged = tree->CoalesceSparseLeaves(36);
   ASSERT_TRUE(merged.ok());
   EXPECT_GT(*merged, 0);
-  auto after = tree->CountNodesPerLevel().value();
-  EXPECT_EQ(after[0], before[0] - static_cast<uint64_t>(*merged));
+  const uint64_t after = tree->CollectLevelStats().value()[0].nodes;
+  EXPECT_EQ(after, before - static_cast<uint64_t>(*merged));
   ASSERT_TRUE(CheckTree(tree.get()).ok());
 }
 

@@ -285,12 +285,8 @@ Result<std::unique_ptr<IntervalIndex>> OpenIndex(const Args& args,
   if (opened.ok()) {
     const storage::RecoveryReport& rec =
         (*opened)->pager()->recovery_report();
-    std::string line =
-        "recovery: format v" + std::to_string(rec.format_version);
-    if (rec.active_slot >= 0) {
-      line += ", slot " + std::to_string(rec.active_slot);
-    }
-    line += ", epoch " + std::to_string(rec.epoch);
+    std::string line = "recovery: slot " + std::to_string(rec.active_slot) +
+                       ", epoch " + std::to_string(rec.epoch);
     if (rec.fell_back) line += ", FELL BACK to the older superblock slot";
     if (rec.journal_replayed) {
       line += ", replayed " + std::to_string(rec.journal_entries) +
@@ -737,7 +733,7 @@ int CmdBenchResilience(const Args& args) {
       if (with_deadline) {
         so.deadline = Clock::now() + std::chrono::microseconds(deadline_us);
       }
-      std::vector<exec::BatchResult> results;
+      std::vector<core::BatchResult> results;
       const auto t0 = Clock::now();
       const Status st = index->SearchBatch(queries, so, &results, threads);
       batch_ms->push_back(
@@ -747,7 +743,7 @@ int CmdBenchResilience(const Args& args) {
         std::fprintf(stderr, "batch failed: %s\n", st.ToString().c_str());
         return false;
       }
-      for (const exec::BatchResult& res : results) {
+      for (const core::BatchResult& res : results) {
         if (res.status.code() == StatusCode::kDeadlineExceeded) ++*exceeded;
       }
     }

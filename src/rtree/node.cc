@@ -7,9 +7,7 @@ namespace segidx::rtree {
 
 namespace {
 
-using storage::DecodeDouble;
 using storage::DecodeU16;
-using storage::DecodeU64;
 using storage::EncodeDouble;
 using storage::EncodeU16;
 using storage::EncodeU64;
@@ -19,15 +17,6 @@ void EncodeRect(uint8_t* dst, const Rect& r) {
   EncodeDouble(dst + 8, r.x.hi);
   EncodeDouble(dst + 16, r.y.lo);
   EncodeDouble(dst + 24, r.y.hi);
-}
-
-Rect DecodeRect(const uint8_t* src) {
-  Rect r;
-  r.x.lo = DecodeDouble(src);
-  r.x.hi = DecodeDouble(src + 8);
-  r.y.lo = DecodeDouble(src + 16);
-  r.y.hi = DecodeDouble(src + 24);
-  return r;
 }
 
 // The checksum a node page of `n` extent bytes carries: CRC32C over the
@@ -112,6 +101,25 @@ Status Node::Serialize(uint8_t* buf, size_t buf_size) const {
 }
 
 Result<Node> Node::Deserialize(const uint8_t* buf, size_t buf_size) {
+  SEGIDX_ASSIGN_OR_RETURN(const NodeView view, NodeView::Parse(buf, buf_size));
+  Node node;
+  node.level = view.level();
+  node.records.reserve(view.record_count());
+  for (size_t i = 0; i < view.record_count(); ++i) {
+    node.records.push_back(view.record(i));
+  }
+  node.branches.reserve(view.branch_count());
+  for (size_t i = 0; i < view.branch_count(); ++i) {
+    node.branches.push_back(view.branch(i));
+  }
+  node.spanning.reserve(view.spanning_count());
+  for (size_t i = 0; i < view.spanning_count(); ++i) {
+    node.spanning.push_back(view.spanning(i));
+  }
+  return node;
+}
+
+Result<NodeView> NodeView::Parse(const uint8_t* buf, size_t buf_size) {
   if (buf_size < kNodeHeaderBytes) {
     return CorruptionError("node extent smaller than header");
   }
@@ -121,12 +129,11 @@ Result<Node> Node::Deserialize(const uint8_t* buf, size_t buf_size) {
     return CorruptionError(
         "node page CRC32C checksum mismatch (extent payload damaged)");
   }
-  Node node;
-  node.level = DecodeU16(buf);
+  const uint16_t level = DecodeU16(buf);
   const uint16_t entry_count = DecodeU16(buf + 2);
   const uint16_t spanning_count = DecodeU16(buf + 4);
   size_t need = kNodeHeaderBytes;
-  if (node.level == 0) {
+  if (level == 0) {
     need += static_cast<size_t>(entry_count) * kLeafEntryBytes;
     if (spanning_count != 0) {
       return CorruptionError("leaf node with spanning records");
@@ -138,36 +145,7 @@ Result<Node> Node::Deserialize(const uint8_t* buf, size_t buf_size) {
   if (need > buf_size) {
     return CorruptionError("node entry counts exceed extent size");
   }
-  size_t off = kNodeHeaderBytes;
-  if (node.level == 0) {
-    node.records.reserve(entry_count);
-    for (uint16_t i = 0; i < entry_count; ++i) {
-      LeafEntry e;
-      e.rect = DecodeRect(buf + off);
-      e.tid = DecodeU64(buf + off + 32);
-      node.records.push_back(e);
-      off += kLeafEntryBytes;
-    }
-  } else {
-    node.branches.reserve(entry_count);
-    for (uint16_t i = 0; i < entry_count; ++i) {
-      BranchEntry b;
-      b.rect = DecodeRect(buf + off);
-      b.child = storage::PageId::Decode(DecodeU64(buf + off + 32));
-      node.branches.push_back(b);
-      off += kBranchEntryBytes;
-    }
-    node.spanning.reserve(spanning_count);
-    for (uint16_t i = 0; i < spanning_count; ++i) {
-      SpanningEntry s;
-      s.rect = DecodeRect(buf + off);
-      s.tid = DecodeU64(buf + off + 32);
-      s.linked_child = DecodeU64(buf + off + 40);
-      node.spanning.push_back(s);
-      off += kSpanningEntryBytes;
-    }
-  }
-  return node;
+  return NodeView(buf, level, entry_count, spanning_count);
 }
 
 }  // namespace segidx::rtree

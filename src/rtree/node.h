@@ -27,6 +27,7 @@
 #include "common/geometry.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "storage/coding.h"
 #include "storage/pager.h"
 
 namespace segidx::rtree {
@@ -80,10 +81,63 @@ struct Node {
   // be <= buf_size). Zeroes the unused tail of the extent and stamps a
   // CRC32C over all of `buf_size`, folded to 16 bits, into the header's
   // reserved field, so `buf` must span the full extent; stray bytes in the
-  // tail are detected too. Deserialize verifies the checksum and reports
-  // kCorruption on mismatch.
+  // tail are detected too. Deserialize is NodeView::Parse (which makes
+  // every page check) plus a copy of the entries.
   Status Serialize(uint8_t* buf, size_t buf_size) const;
   static Result<Node> Deserialize(const uint8_t* buf, size_t buf_size);
+};
+
+// Read-only view of a serialized node over its extent bytes. Parse makes
+// every check a page gets on read: the checksum over the whole extent, the
+// entry counts fit the extent, and a leaf holds no spanning records.
+// Accessors then decode single entries in place, so reading a node
+// allocates nothing. The view borrows `buf`: it is valid only while the
+// page stays pinned.
+class NodeView {
+ public:
+  static Result<NodeView> Parse(const uint8_t* buf, size_t buf_size);
+
+  uint16_t level() const { return level_; }
+  bool is_leaf() const { return level_ == 0; }
+  size_t record_count() const { return is_leaf() ? entry_count_ : 0; }
+  size_t branch_count() const { return is_leaf() ? 0 : entry_count_; }
+  size_t spanning_count() const { return spanning_count_; }
+
+  // Entry i of its kind, in page order.
+  LeafEntry record(size_t i) const {
+    const uint8_t* p = buf_ + kNodeHeaderBytes + i * kLeafEntryBytes;
+    return LeafEntry{DecodeRect(p), storage::DecodeU64(p + 32)};
+  }
+  BranchEntry branch(size_t i) const {
+    const uint8_t* p = buf_ + kNodeHeaderBytes + i * kBranchEntryBytes;
+    return BranchEntry{DecodeRect(p),
+                       storage::PageId::Decode(storage::DecodeU64(p + 32))};
+  }
+  SpanningEntry spanning(size_t i) const {
+    const uint8_t* p = buf_ + kNodeHeaderBytes +
+                       entry_count_ * kBranchEntryBytes +
+                       i * kSpanningEntryBytes;
+    return SpanningEntry{DecodeRect(p), storage::DecodeU64(p + 32),
+                         storage::DecodeU64(p + 40)};
+  }
+
+ private:
+  NodeView(const uint8_t* buf, uint16_t level, uint16_t entry_count,
+           uint16_t spanning_count)
+      : buf_(buf),
+        level_(level),
+        entry_count_(entry_count),
+        spanning_count_(spanning_count) {}
+
+  static Rect DecodeRect(const uint8_t* p) {
+    return Rect(storage::DecodeDouble(p), storage::DecodeDouble(p + 8),
+                storage::DecodeDouble(p + 16), storage::DecodeDouble(p + 24));
+  }
+
+  const uint8_t* buf_;
+  uint16_t level_;
+  uint16_t entry_count_;     // Leaf records, or branches on a non-leaf.
+  uint16_t spanning_count_;  // Always 0 on a leaf.
 };
 
 // Per-level entry capacities for a given extent byte size.

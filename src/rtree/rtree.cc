@@ -5,6 +5,7 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <thread>
 
 #include "common/logging.h"
 #include "storage/coding.h"
@@ -610,7 +611,11 @@ Status RTree::SearchImpl(const Rect& query, const SearchOptions& options,
     }
     const storage::PageId id = stack.back();
     stack.pop_back();
-    Result<Node> node_or = ReadNode(id, &oc->nodes_accessed);
+    ++oc->nodes_accessed;
+    Result<storage::PageHandle> page = pager_->Fetch(id);
+    Result<NodeView> node_or =
+        page.ok() ? NodeView::Parse(page->data(), page->size())
+                  : Result<NodeView>(page.status());
     if (!node_or.ok()) {
       const StatusCode code = node_or.status().code();
       const bool damage = code == StatusCode::kCorruption ||
@@ -631,9 +636,10 @@ Status RTree::SearchImpl(const Rect& query, const SearchOptions& options,
       oc->skipped_subtrees.push_back(id);
       continue;
     }
-    const Node& node = *node_or;
+    const NodeView& node = *node_or;
     if (node.is_leaf()) {
-      for (const LeafEntry& e : node.records) {
+      for (size_t i = 0; i < node.record_count(); ++i) {
+        const LeafEntry e = node.record(i);
         if (e.rect.Intersects(query)) {
           out->push_back(SearchHit{e.tid, e.rect});
         }
@@ -643,12 +649,14 @@ Status RTree::SearchImpl(const Rect& query, const SearchOptions& options,
     // Spanning records stored on a node are wholly contained by it, so
     // every intersecting spanning record is found on the descent
     // (Section 3.1.3).
-    for (const SpanningEntry& s : node.spanning) {
+    for (size_t i = 0; i < node.spanning_count(); ++i) {
+      const SpanningEntry s = node.spanning(i);
       if (s.rect.Intersects(query)) {
         out->push_back(SearchHit{s.tid, s.rect});
       }
     }
-    for (const BranchEntry& b : node.branches) {
+    for (size_t i = 0; i < node.branch_count(); ++i) {
+      const BranchEntry b = node.branch(i);
       if (b.rect.Intersects(query)) {
         stack.push_back(b.child);
       }
@@ -670,37 +678,57 @@ Status RTree::Delete(const Rect& rect, TupleId tid) {
   PhaseGate::Scope gate(&gate_, PhaseGate::Mode::kWrite);
   uint64_t accesses = 0;
 
-  // Root protocol: latch the root block without holding meta_mu_, then
-  // verify the root did not move while we blocked (see InsertOne).
   NodeLatchTable::Guard root_guard;
   storage::PageId root;
   Rect region;
-  for (;;) {
-    storage::PageId seen;
-    {
-      TrackedMutexLock lock(&meta_mu_, LockClass::kTreeMeta);
-      seen = root_;
-    }
-    NodeLatchTable::Guard guard =
-        latch_table_.Acquire(seen.block, LatchOrigin::Standalone());
-    TrackedMutexLock lock(&meta_mu_, LockClass::kTreeMeta);
-    if (root_.block != seen.block) continue;  // Root moved; retry.
-    root = root_;
-    region = root_region_;
-    root_guard = std::move(guard);
-    break;
-  }
-
-  // Deletion holds the whole latch path: each frame keeps its node latched
-  // while it recurses, so the write-back after the child returns is always
-  // covered. Depth is small (R-Tree height), so the lost concurrency is
-  // cheaper than insert-style safe-release bookkeeping for the rare op.
   std::vector<std::pair<Rect, TupleId>> orphans;
   bool underflow = false;
-  SEGIDX_ASSIGN_OR_RETURN(
-      bool found, DeleteRecursive(root, rect, tid, &orphans, &region,
-                                  &underflow, &accesses));
-  if (!found) return NotFoundError("no such index record");
+  for (;;) {
+    // Root protocol: latch the root block without holding meta_mu_, then
+    // verify the root did not move while we blocked (see InsertOne).
+    for (;;) {
+      storage::PageId seen;
+      {
+        TrackedMutexLock lock(&meta_mu_, LockClass::kTreeMeta);
+        seen = root_;
+      }
+      NodeLatchTable::Guard guard =
+          latch_table_.Acquire(seen.block, LatchOrigin::Standalone());
+      TrackedMutexLock lock(&meta_mu_, LockClass::kTreeMeta);
+      if (root_.block != seen.block) continue;  // Root moved; retry.
+      root = root_;
+      region = root_region_;
+      root_guard = std::move(guard);
+      break;
+    }
+    // Deletes are serialized by the root latch, so orphans counted here
+    // are the only records missing from the tree during the descent.
+    const bool orphans_were_out = orphans_out_of_tree_.load() != 0;
+
+    // Deletion holds the whole latch path: each frame keeps its node
+    // latched while it recurses, so the write-back after the child returns
+    // is always covered. Depth is small (R-Tree height), so the lost
+    // concurrency is cheaper than insert-style safe-release bookkeeping
+    // for the rare op.
+    SEGIDX_ASSIGN_OR_RETURN(
+        bool found, DeleteRecursive(root, rect, tid, &orphans, &region,
+                                    &underflow, &accesses));
+    if (found) break;
+    if (!orphans_were_out) return NotFoundError("no such index record");
+    // Another delete condensed a leaf and has not yet reinserted its
+    // orphans; the record may be among them. Retry once they are back.
+    root_guard.Release();
+    std::this_thread::yield();
+  }
+  // The orphans are out of the tree until reinserted below; a concurrent
+  // Delete that misses meanwhile retries instead of reporting NotFound.
+  struct OrphansOut {
+    std::atomic<int>* count;
+    ~OrphansOut() {
+      if (count != nullptr) count->fetch_sub(1);
+    }
+  } orphans_guard{orphans.empty() ? nullptr : &orphans_out_of_tree_};
+  if (!orphans.empty()) orphans_out_of_tree_.fetch_add(1);
   {
     TrackedMutexLock lock(&meta_mu_, LockClass::kTreeMeta);
     root_region_ = region;

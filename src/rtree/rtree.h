@@ -422,7 +422,9 @@ class RTree {
                                  int method, double fill_fraction);
 
   // Search loop shared by both public overloads; accumulates node accesses
-  // and skipped subtrees into `oc` on every exit path.
+  // and skipped subtrees into `oc` on every exit path. Reads each node
+  // through a NodeView on its pinned page instead of ReadNode, so a visit
+  // allocates nothing.
   Status SearchImpl(const Rect& query, const SearchOptions& options,
                     std::vector<SearchHit>* out, SearchOutcome* oc) const;
 
@@ -498,6 +500,10 @@ class RTree {
   bool root_region_valid_ = false;
   // Mutated via relaxed atomic_ref (concurrent writers).
   uint64_t record_count_ = 0;
+  // Deletes whose CondenseTree orphans are out of the tree, from the
+  // condense (under the root latch) until their reinsertion ends. A Delete
+  // that misses while this is non-zero retries (see Delete).
+  std::atomic<int> orphans_out_of_tree_{0};
 
   // Modification counts per leaf block (Section 4's "least frequently
   // modified" statistic). Rebuilt lazily after Open(). Concurrent writers

@@ -578,9 +578,18 @@ Result<PageHandle> Pager::Fetch(PageId id) {
     TrackedMutexLock lock(&part.mu, LockClass::kPagerPartition);
     auto it = part.frames.find(id.block);
     if (it != part.frames.end()) {
-      BumpStat(stats_.cache_hits);
       Frame& frame = it->second;
-      SEGIDX_CHECK_EQ(frame.size_class, id.size_class);
+      // A checksum-valid page can still name a cached block under another
+      // size class (a damaged or stale child pointer): an error for the
+      // caller, who skips or reports it, never an abort.
+      if (frame.size_class != id.size_class) {
+        return InvalidArgumentError(
+            "page id names block " + std::to_string(id.block) +
+            " with size class " + std::to_string(id.size_class) +
+            ", but the block is cached with size class " +
+            std::to_string(frame.size_class));
+      }
+      BumpStat(stats_.cache_hits);
       if (frame.in_lru) {
         part.lru.erase(frame.lru_pos);
         frame.in_lru = false;

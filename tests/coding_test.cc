@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+
 namespace segidx::storage {
 namespace {
 
@@ -88,6 +90,52 @@ TEST(ChecksumTest, Crc32cKnownAnswer) {
   EXPECT_EQ(Crc32c(bytes, check.size()), 0xE3069283u);
   EXPECT_EQ(Crc32c(bytes + 4, check.size() - 4, Crc32c(bytes, 4)),
             0xE3069283u);
+}
+
+// The SSE4.2 path must produce the table loop's values bit for bit: both
+// write the same files. Covers every 0-7 byte tail after the 8-byte words,
+// every start alignment, whole 1 KB leaf extents, random seeds and chained
+// (seeded) calls.
+TEST(ChecksumTest, HardwarePathMatchesTablePath) {
+  if (!internal::Crc32cHardwareSupported()) {
+    GTEST_SKIP() << "CPU has no SSE4.2; only the table path runs here";
+  }
+#if defined(__x86_64__)
+  using internal::Crc32cPortable;
+  using internal::Crc32cSse42;
+  Rng rng(19);
+  std::vector<uint8_t> buf(1100 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 1100; ++n) {
+      const auto seed = static_cast<uint32_t>(rng.NextU64());
+      const uint8_t* data = buf.data() + offset;
+      ASSERT_EQ(Crc32cSse42(data, n, seed), Crc32cPortable(data, n, seed))
+          << "offset " << offset << " length " << n << " seed " << seed;
+      ASSERT_EQ(Crc32cSse42(data, n, 0), Crc32cPortable(data, n, 0))
+          << "offset " << offset << " length " << n;
+    }
+  }
+
+  // A continuation split anywhere equals the whole, on both paths.
+  const uint8_t* data = buf.data();
+  const uint32_t whole = Crc32cPortable(data, 64, 0);
+  for (size_t split = 0; split <= 64; ++split) {
+    EXPECT_EQ(
+        Crc32cSse42(data + split, 64 - split, Crc32cSse42(data, split, 0)),
+        whole)
+        << split;
+    EXPECT_EQ(Crc32cPortable(data + split, 64 - split,
+                             Crc32cPortable(data, split, 0)),
+              whole)
+        << split;
+  }
+
+  const std::string check = "123456789";
+  const auto* bytes = reinterpret_cast<const uint8_t*>(check.data());
+  EXPECT_EQ(Crc32cSse42(bytes, check.size(), 0), 0xE3069283u);
+  EXPECT_EQ(Crc32cPortable(bytes, check.size(), 0), 0xE3069283u);
+#endif
 }
 
 TEST(CodingTest, NanRoundTripsBitExact) {

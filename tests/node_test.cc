@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "storage/coding.h"
+
 namespace segidx::rtree {
 namespace {
 
@@ -110,6 +112,43 @@ TEST(NodeTest, UnusedTailDamageFailsCrc32c) {
   ASSERT_FALSE(damaged.ok());
   EXPECT_EQ(damaged.status().code(), StatusCode::kCorruption);
   EXPECT_NE(damaged.status().message().find("CRC32C"), std::string::npos);
+}
+
+// Pins the checksum Serialize stamps into header bytes 6-7: CRC32C over
+// bytes 0-5 chained into bytes 8..end of the extent, folded to 16 bits.
+// Both pages start from a dirty extent, so the zeroed tail is covered too.
+// A change to the fold, the covered range or the CRC fails here even
+// though every round trip would still pass.
+TEST(NodeTest, SerializeStampsPinnedChecksums) {
+  Node leaf;
+  leaf.level = 0;
+  for (int i = 0; i < 3; ++i) {
+    leaf.records.push_back(LeafEntry{
+        Rect(i, i + 1.5, 10.0 * i, 10.0 * i + 0.25),
+        static_cast<TupleId>(100 + i)});
+  }
+  std::vector<uint8_t> leaf_buf(1024, 0xab);
+  ASSERT_TRUE(leaf.Serialize(leaf_buf.data(), leaf_buf.size()).ok());
+  EXPECT_EQ(storage::DecodeU16(leaf_buf.data() + 6), 0x6eb4);
+  EXPECT_TRUE(Node::Deserialize(leaf_buf.data(), leaf_buf.size()).ok());
+
+  Node inner;
+  inner.level = 1;
+  BranchEntry left;
+  left.rect = Rect(0, 50, 0, 50);
+  left.child.block = 2;
+  left.child.size_class = 0;
+  BranchEntry right;
+  right.rect = Rect(50, 100, 0, 50);
+  right.child.block = 3;
+  right.child.size_class = 0;
+  inner.branches = {left, right};
+  inner.spanning.push_back(
+      SpanningEntry{Rect(-1, 51, 10, 11), 7, left.child.Encode()});
+  std::vector<uint8_t> inner_buf(2048, 0xcd);
+  ASSERT_TRUE(inner.Serialize(inner_buf.data(), inner_buf.size()).ok());
+  EXPECT_EQ(storage::DecodeU16(inner_buf.data() + 6), 0xc43b);
+  EXPECT_TRUE(Node::Deserialize(inner_buf.data(), inner_buf.size()).ok());
 }
 
 TEST(NodeTest, DeserializeRejectsLeafWithSpanning) {

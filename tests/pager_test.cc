@@ -90,6 +90,31 @@ TEST(PagerTest, FetchReturnsWrittenBytes) {
   EXPECT_EQ(fetched->data()[2047], 0x22);
 }
 
+TEST(PagerTest, FetchOfCachedBlockUnderOtherSizeClassIsAnError) {
+  auto pager = MakeMemoryPager(PagerOptions());
+  PageId id;
+  {
+    auto page = pager->Allocate(0);
+    ASSERT_TRUE(page.ok());
+    id = page->id();
+    page->MarkDirty();
+  }
+  PageId wrong = id;
+  wrong.size_class = 1;
+  auto fetched = pager->Fetch(wrong);
+  ASSERT_FALSE(fetched.ok());
+  EXPECT_EQ(fetched.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = fetched.status().message();
+  EXPECT_NE(message.find("block " + std::to_string(id.block)),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("size class 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("size class 0"), std::string::npos) << message;
+  // The cached page itself stays readable under its own id.
+  EXPECT_TRUE(pager->Fetch(id).ok());
+  EXPECT_EQ(pager->pinned_frames(), 0u);
+}
+
 TEST(PagerTest, EvictionWritesBackDirtyPages) {
   auto device = std::make_unique<MemoryBlockDevice>();
   MemoryBlockDevice* raw = device.get();

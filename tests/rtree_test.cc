@@ -138,6 +138,50 @@ TEST(RTreeTest, LevelStatsRejectsNodeAtWrongLevel) {
       << stats.status().ToString();
 }
 
+// A checksum-valid branch whose child id names a cached block under the
+// wrong size class: search skips that subtree (or fails cleanly), the
+// healthy cached page is not quarantined, and nothing aborts.
+TEST(RTreeTest, ChildPointerWithWrongSizeClassIsAnError) {
+  auto pager = MakeMemoryPager();
+  auto tree = MakeTree(pager.get());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(tree->Insert(Rect::Point(i, i), i).ok());
+  }
+  ASSERT_EQ(tree->height(), 2);
+  storage::PageId bad;
+  {
+    auto page = pager->Fetch(tree->root());
+    ASSERT_TRUE(page.ok());
+    Node root = Node::Deserialize(page->data(), page->size()).value();
+    ++root.branches[0].child.size_class;
+    bad = root.branches[0].child;
+    ASSERT_TRUE(root.Serialize(page->data(), page->size()).ok());
+    page->MarkDirty();
+  }
+  const Rect everything(-1, 101, -1, 101);
+
+  SearchOptions partial;
+  partial.allow_partial = true;
+  std::vector<SearchHit> hits;
+  SearchOutcome outcome;
+  ASSERT_TRUE(tree->Search(everything, partial, &hits, &outcome).ok());
+  EXPECT_TRUE(outcome.partial);
+  EXPECT_EQ(outcome.skipped_subtrees, std::vector<storage::PageId>{bad});
+  EXPECT_LT(hits.size(), 100u);
+  EXPECT_EQ(pager->quarantined_count(), 0u);
+
+  hits.clear();
+  const Status strict = tree->Search(everything, SearchOptions(), &hits,
+                                     &outcome);
+  EXPECT_EQ(strict.code(), StatusCode::kInvalidArgument)
+      << strict.ToString();
+  EXPECT_NE(strict.message().find("block " + std::to_string(bad.block)),
+            std::string::npos)
+      << strict.ToString();
+
+  EXPECT_FALSE(tree->CollectLevelStats().ok());
+}
+
 TEST(RTreeTest, VariableNodeSizeDoublesPerLevel) {
   auto pager = MakeMemoryPager();
   TreeOptions options;

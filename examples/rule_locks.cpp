@@ -9,9 +9,8 @@
 //
 // An incoming tuple's salary is a stabbing query: every rule whose
 // predicate interval contains the value must fire. The example also
-// cross-checks the SR-Tree against the in-memory interval tree and segment
-// tree from oracle/ (the Computational Geometry structures the paper
-// builds on).
+// cross-checks every stab against a brute-force scan of the rule base
+// (oracle::NaiveOracle) and exits 1 on any disagreement.
 
 #include <algorithm>
 #include <cstdio>
@@ -20,8 +19,7 @@
 
 #include "common/random.h"
 #include "core/interval_index.h"
-#include "oracle/interval_tree.h"
-#include "oracle/segment_tree.h"
+#include "oracle/naive_oracle.h"
 
 using namespace segidx;
 
@@ -31,6 +29,10 @@ struct Rule {
   Interval predicate;  // [lo, hi]; a point for equality predicates.
   std::string action;
 };
+
+// A 1-D predicate or probe value as a rect: the K=1 special case of the
+// SR-Tree, with a degenerate Y coordinate.
+Rect OnLine(const Interval& x) { return Rect(x, Interval::Point(0)); }
 
 }  // namespace
 
@@ -54,22 +56,39 @@ int main() {
   rules.push_back({Interval(10000.000001, 20000), "office: >= 1 window"});
   rules.push_back({Interval::Point(100000), "office: >= 4 windows"});
 
-  // Index every predicate: a 1-D SR-Tree is the K=1 special case — a
-  // degenerate Y coordinate.
+  // Index every predicate in a 1-D SR-Tree, and in the brute-force oracle
+  // it is checked against.
   core::IndexOptions options;
   auto index =
       core::IntervalIndex::CreateInMemory(core::IndexKind::kSRTree, options)
           .value();
-  oracle::IntervalTree interval_tree;
+  oracle::NaiveOracle oracle;
   for (size_t i = 0; i < rules.size(); ++i) {
-    if (auto st = index->Insert(
-            Rect(rules[i].predicate, Interval::Point(0)), i);
-        !st.ok()) {
+    if (auto st = index->Insert(OnLine(rules[i].predicate), i); !st.ok()) {
       std::fprintf(stderr, "insert failed: %s\n", st.ToString().c_str());
       return 1;
     }
-    interval_tree.Insert(rules[i].predicate, i);
+    oracle.Insert(OnLine(rules[i].predicate), i);
   }
+
+  // The rules a salary fires, sorted; false (after printing why) when the
+  // search fails or disagrees with the oracle.
+  auto fire = [&](double salary, std::vector<TupleId>* fired,
+                  uint64_t* nodes) {
+    const Rect probe = OnLine(Interval::Point(salary));
+    if (auto st = index->SearchTuples(probe, fired, nodes); !st.ok()) {
+      std::fprintf(stderr, "search failed: %s\n", st.ToString().c_str());
+      return false;
+    }
+    std::sort(fired->begin(), fired->end());
+    if (*fired != oracle.Search(probe)) {
+      std::fprintf(stderr, "BUG: SR-Tree disagrees with the oracle at %f\n",
+                   salary);
+      return false;
+    }
+    return true;
+  };
+
   std::printf("indexed %zu rule predicates (1-D SR-Tree, height %d, "
               "%llu spanning records)\n\n",
               rules.size(), index->height(),
@@ -80,9 +99,7 @@ int main() {
   for (double salary : {15000.0, 100000.0, 237500.0}) {
     std::vector<TupleId> fired;
     uint64_t nodes = 0;
-    (void)index->SearchTuples(Rect(Interval::Point(salary),
-                                   Interval::Point(0)),
-                              &fired, &nodes);
+    if (!fire(salary, &fired, &nodes)) return 1;
     std::printf("salary %8.0f fires %3zu rules (%llu index nodes):\n",
                 salary, fired.size(), static_cast<unsigned long long>(nodes));
     int shown = 0;
@@ -93,43 +110,17 @@ int main() {
       }
     }
     if (shown == 0) std::printf("    (band/audit rules only)\n");
-
-    // Cross-check against the interval tree.
-    const std::vector<TupleId> expected = interval_tree.Stab(salary);
-    std::vector<TupleId> sorted = fired;
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted != expected) {
-      std::fprintf(stderr, "BUG: SR-Tree disagrees with interval tree\n");
-      return 1;
-    }
   }
 
-  // Bulk validation against both Computational Geometry oracles.
-  std::vector<Coord> endpoints;
-  for (const Rule& rule : rules) {
-    endpoints.push_back(rule.predicate.lo);
-    endpoints.push_back(rule.predicate.hi);
-  }
-  oracle::SegmentTree segment_tree(endpoints);
-  for (size_t i = 0; i < rules.size(); ++i) {
-    (void)segment_tree.Insert(rules[i].predicate, i);
-  }
+  // Bulk validation: random stabbing probes across the salary range.
   int probes_checked = 0;
   for (int p = 0; p < 2000; ++p) {
-    const double v = rng.Uniform(0, 400000);
     std::vector<TupleId> fired;
-    (void)index->SearchTuples(
-        Rect(Interval::Point(v), Interval::Point(0)), &fired);
-    std::sort(fired.begin(), fired.end());
-    if (fired != interval_tree.Stab(v) || fired != segment_tree.Stab(v)) {
-      std::fprintf(stderr, "BUG: mismatch at probe %f\n", v);
-      return 1;
-    }
+    if (!fire(rng.Uniform(0, 400000), &fired, nullptr)) return 1;
     ++probes_checked;
   }
-  std::printf(
-      "\n%d stabbing probes agree across SR-Tree, interval tree, and "
-      "segment tree\n",
-      probes_checked);
+  std::printf("\n%d stabbing probes agree between the SR-Tree and a "
+              "brute-force scan\n",
+              probes_checked);
   return 0;
 }

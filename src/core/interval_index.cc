@@ -221,19 +221,10 @@ Status IntervalIndex::InsertInterval(const Interval& x, Coord y,
 Status IntervalIndex::Search(const Rect& query,
                              std::vector<rtree::SearchHit>* out,
                              uint64_t* nodes_accessed) {
-  if (skeleton_ != nullptr) {
-    // A search against a still-buffering skeleton builds the tree as a side
-    // effect, producing pages that need a checkpoint; the lock serializes
-    // that build against concurrent skeleton mutation.
-    TrackedMutexLock lock(&skeleton_mu_, LockClass::kSkeleton);
-    const bool was_building = !skeleton_->built();
-    Status status = skeleton_->Search(query, out, nodes_accessed);
-    if (status.ok() && was_building && skeleton_->built()) {
-      dirty_.store(true, std::memory_order_relaxed);
-    }
-    return status;
-  }
-  return tree_->Search(query, out, nodes_accessed);
+  rtree::SearchOutcome outcome;
+  const Status status = Search(query, rtree::SearchOptions(), out, &outcome);
+  if (nodes_accessed != nullptr) *nodes_accessed = outcome.nodes_accessed;
+  return status;
 }
 
 Status IntervalIndex::Search(const Rect& query,
@@ -241,7 +232,9 @@ Status IntervalIndex::Search(const Rect& query,
                              std::vector<rtree::SearchHit>* out,
                              rtree::SearchOutcome* outcome) {
   // Building the tree from a buffered skeleton sample is index setup, not
-  // query work — run it before the deadline applies.
+  // query work — run it before the deadline applies. Finalize() holds
+  // skeleton_mu_ only while it checks (or runs) the build, never across
+  // the tree search.
   SEGIDX_RETURN_IF_ERROR(Finalize());
   return tree_->Search(query, options, out, outcome);
 }

@@ -141,7 +141,8 @@ class IntervalIndex {
   Status InsertInterval(const Interval& x, Coord y, TupleId tid);
 
   // Every stored entry intersecting `query`; a record cut into several
-  // pieces (SR-Trees) surfaces once per piece.
+  // pieces (SR-Trees) surfaces once per piece. Forwards to the options
+  // overload below with default options.
   Status Search(const Rect& query, std::vector<rtree::SearchHit>* out,
                 uint64_t* nodes_accessed = nullptr);
   // Same, with runtime controls (deadline, cancel token, partial results

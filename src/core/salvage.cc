@@ -10,14 +10,29 @@ namespace segidx::core {
 
 namespace {
 
-// Plausibility screen applied after a successful checksum + decode. The v2
-// CRC32C is folded to 16 bits, so a damaged extent passes it with
-// probability ~2^-16 per candidate; rejecting nodes whose decoded fields
-// are impossible keeps such collisions (and v1's weaker FNV checksum) from
-// injecting garbage records.
-bool PlausibleNode(const rtree::Node& node) {
+// Plausibility screen applied after a successful checksum + decode of the
+// extent at `size_class`. The node checksum is a CRC-32C folded to 16
+// bits, so a damaged or misaligned extent passes it with probability
+// ~2^-16 per candidate, and the scan tries up to max_size_class + 1
+// candidates per block. Rejecting nodes whose decoded fields are
+// impossible keeps such collisions from injecting garbage records or from
+// making the scan jump over live blocks:
+//   * a level-L node lives at class 0 or at min(L, max_size_class) (the
+//     node-size rule of RTree::SizeClassForLevel, which the structure
+//     checker enforces on live trees), so a leaf is only ever class 0;
+//   * a node with no entries holds nothing to harvest, so it never
+//     justifies skipping the blocks its extent would span.
+bool PlausibleNode(const rtree::Node& node, uint8_t size_class,
+                   uint8_t max_size_class) {
   // Far above any real tree height (fan-out >= 2 over 2^64 records).
   if (node.level > 64) return false;
+  const uint8_t level_class =
+      static_cast<uint8_t>(std::min<int>(node.level, max_size_class));
+  if (size_class != 0 && size_class != level_class) return false;
+  if (node.records.empty() && node.branches.empty() &&
+      node.spanning.empty()) {
+    return false;
+  }
   for (const rtree::LeafEntry& e : node.records) {
     if (!e.rect.valid() || e.tid == kInvalidTupleId) return false;
   }
@@ -69,8 +84,9 @@ Result<std::vector<std::pair<Rect, TupleId>>> ScavengeRecords(
   };
 
   // Walk every block past the two superblock slots, trying each extent size
-  // in turn. The node checksum covers the whole extent, so a node only
-  // decodes at its true size class; journal pages, metadata, and damaged
+  // in turn. The node checksum covers the whole extent, so a node decodes
+  // at its true size class; the rare false match at another class is
+  // screened out by PlausibleNode. Journal pages, metadata, and damaged
   // extents fail the checksum and are skipped one block at a time.
   std::vector<uint8_t> buf;
   uint64_t block = storage::kFirstDataBlock;
@@ -84,7 +100,10 @@ Result<std::vector<std::pair<Rect, TupleId>>> ScavengeRecords(
       buf.resize(n);
       if (!device.Read(block * bbs, n, buf.data()).ok()) break;
       Result<rtree::Node> node_or = rtree::Node::Deserialize(buf.data(), n);
-      if (!node_or.ok() || !PlausibleNode(*node_or)) continue;
+      if (!node_or.ok() ||
+          !PlausibleNode(*node_or, sc, options.pager.max_size_class)) {
+        continue;
+      }
       const rtree::Node& node = *node_or;
       ++rep.nodes_decoded;
       if (node.is_leaf()) {

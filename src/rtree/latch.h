@@ -22,7 +22,8 @@
 // runtime validator hooked into Enter/Acquire (check/lock_order.h), and
 // tools/lint/check_concurrency.py (bare Enter/Exit outside Scope, blocking
 // under map_mu_). Both classes also count contention (LatchStats) so
-// gate/latch waits are visible in `segidx stats` and bench/mixed_readwrite.
+// gate/latch waits are visible in `segidx stats`, the server's stats frame
+// and segbench's rtree.gate_* / node_latch_* metrics.
 //
 // Both are self-contained standard-library constructs; neither knows about
 // pages or nodes beyond the 32-bit block key.

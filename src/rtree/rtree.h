@@ -276,8 +276,8 @@ class RTree {
   const TreeStats& stats() const { return stats_; }
   void ResetStats() { stats_ = TreeStats(); }
   // Contention counters for the phase gate and the node latch table
-  // (surfaced by `segidx stats` and bench/mixed_readwrite). Like
-  // TreeStats, a consistent snapshot requires quiescence.
+  // (surfaced by `segidx stats`, the server's stats frame and segbench).
+  // Like TreeStats, a consistent snapshot requires quiescence.
   LatchStats latch_stats() const {
     LatchStats out;
     gate_.AccumulateStats(&out);

@@ -694,7 +694,7 @@ void Server::ExecuteWrites(std::vector<PendingWrite> work) {
     std::vector<std::optional<Status>> outcome(n);
     write_pool_->Run(n, [&](size_t k) {
       const PendingWrite& op = work[idx[k]];
-      const Status status = index_->tree()->Insert(op.rect, op.tid);
+      const Status status = index_->Insert(op.rect, op.tid);
       outcome[k] = status;
       return status.ok();
     });

@@ -1,7 +1,6 @@
 #include "storage/fault_injection.h"
 
 #include <algorithm>
-#include <thread>
 
 namespace segidx::storage {
 
@@ -40,12 +39,6 @@ void FaultInjectingBlockDevice::ClearCorruptRanges() {
   corrupt_ranges_.clear();
 }
 
-void FaultInjectingBlockDevice::SetReadDelay(
-    std::chrono::microseconds delay) {
-  std::lock_guard<std::mutex> lock(mu_);
-  read_delay_ = delay;
-}
-
 void FaultInjectingBlockDevice::CrashAtOp(uint64_t n, size_t tear_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   crash_at_op_ = n;
@@ -69,7 +62,6 @@ void FaultInjectingBlockDevice::ClearFaults() {
   fail_read_at_ = kNever;
   fail_read_every_ = 0;
   corrupt_ranges_.clear();
-  read_delay_ = std::chrono::microseconds{0};
   crash_at_op_ = kNever;
   dead_ = false;
   read_only_ = false;
@@ -89,7 +81,6 @@ bool FaultInjectingBlockDevice::crashed() const {
 
 Status FaultInjectingBlockDevice::Read(uint64_t offset, size_t n,
                                        uint8_t* out) const {
-  std::chrono::microseconds delay{0};
   std::vector<std::pair<uint64_t, uint64_t>> corrupt;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -106,10 +97,8 @@ Status FaultInjectingBlockDevice::Read(uint64_t offset, size_t n,
       return IoError("injected flaky read fault (EIO) at read #" +
                      std::to_string(index));
     }
-    delay = read_delay_;
     corrupt = corrupt_ranges_;
   }
-  if (delay.count() > 0) std::this_thread::sleep_for(delay);
   SEGIDX_RETURN_IF_ERROR(inner_->Read(offset, n, out));
   for (const auto& [lo, hi] : corrupt) {
     const uint64_t begin = std::max(lo, offset);

@@ -5,9 +5,8 @@
 // message, fail every Kth read (a flaky cable — transient, later retries
 // of the same offset succeed), corrupt reads overlapping chosen byte
 // ranges (per-page damage targeting: the inner bytes stay intact, the
-// reader sees them flipped), delay every read (a slow device, for
-// deadline benchmarks), tear a write after K bytes, simulate a process
-// crash at a given op index (everything after the fault fails), go
+// reader sees them flipped), tear a write after K bytes, simulate a
+// process crash at a given op index (everything after the fault fails), go
 // read-only, or report a full disk (ENOSPC-style kResourceExhausted).
 // Counters expose how many ops of each kind reached the device
 // so tests can assert fault points precisely and torture harnesses can
@@ -20,7 +19,6 @@
 #ifndef SEGIDX_STORAGE_FAULT_INJECTION_H_
 #define SEGIDX_STORAGE_FAULT_INJECTION_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -68,10 +66,6 @@ class FaultInjectingBlockDevice : public BlockDevice {
   // accumulate until ClearCorruptRanges().
   void CorruptRange(uint64_t offset, uint64_t n);
   void ClearCorruptRanges();
-
-  // Injects latency into every read (a slow or contended device); zero
-  // disables. Used by the resilience benchmark to make deadlines bite.
-  void SetReadDelay(std::chrono::microseconds delay);
 
   // Simulates a crash at combined write+sync op index `n` (counted from
   // construction): that op fails — a write first tears `tear_bytes` bytes
@@ -121,7 +115,6 @@ class FaultInjectingBlockDevice : public BlockDevice {
   bool read_sticky_ = false;
   uint64_t fail_read_every_ = 0;  // 0 = off; else every kth read fails.
   std::vector<std::pair<uint64_t, uint64_t>> corrupt_ranges_;  // [off, off+n)
-  std::chrono::microseconds read_delay_{0};
   uint64_t crash_at_op_ = kNever;
   size_t crash_tear_bytes_ = 0;
   bool dead_ = false;

@@ -348,12 +348,22 @@ TEST(ConcurrentCommitTest, AcknowledgedCommitsAreDurable) {
                                                IndexOptions{})
                    .value();
 
+  // Writers grow a bulk-loaded index, as an ingest into existing data does.
+  constexpr size_t kPreload = 1000;
+  const auto preload = MakeRecords(100000, kPreload, /*seed=*/399);
+  oracle::NaiveOracle oracle;
+  for (const auto& [rect, tid] : preload) oracle.Insert(rect, tid);
+  ASSERT_TRUE(index->BulkLoad(preload).ok());
+
   constexpr int kWriters = 4;
   constexpr size_t kPerWriter = 400;
   std::vector<std::vector<std::pair<Rect, TupleId>>> partitions;
   for (int w = 0; w < kWriters; ++w) {
     partitions.push_back(
         MakeRecords(1 + w * kPerWriter, kPerWriter, /*seed=*/400 + w));
+    for (const auto& [rect, tid] : partitions.back()) {
+      oracle.Insert(rect, tid);
+    }
   }
   std::vector<std::thread> writers;
   std::atomic<bool> failed{false};
@@ -374,12 +384,34 @@ TEST(ConcurrentCommitTest, AcknowledgedCommitsAreDurable) {
       if (!index->Commit().ok()) failed.store(true);
     });
   }
+  // Readers search throughout, so their read phases rotate against both
+  // the writers' write phases and each commit's exclusive phase.
+  const std::vector<Rect> queries = MakeQueries(16, /*seed=*/17);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      size_t qi = static_cast<size_t>(r);
+      std::vector<rtree::SearchHit> hits;
+      while (!stop.load(std::memory_order_relaxed)) {
+        hits.clear();
+        if (!index->Search(queries[qi++ % queries.size()], &hits).ok()) {
+          failed.store(true);
+          return;
+        }
+      }
+    });
+  }
   for (std::thread& t : writers) t.join();
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
   ASSERT_FALSE(failed.load());
 
   const storage::StorageStats& stats = index->storage_stats();
   EXPECT_GE(stats.commit_requests, static_cast<uint64_t>(kWriters * 4));
   EXPECT_LE(stats.commit_batches, stats.commit_requests);
+  EXPECT_EQ(index->size(), kPreload + kWriters * kPerWriter);
+  ExpectMatchesOracle(index.get(), oracle, queries);
 
   // Every commit was acknowledged before the writers joined, so a reopen
   // from the raw image — no Close(), simulating a process kill after the
@@ -388,7 +420,7 @@ TEST(ConcurrentCommitTest, AcknowledgedCommitsAreDurable) {
       std::make_unique<storage::MemoryBlockDevice>(raw->Snapshot()),
       IndexOptions{});
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->size(), kWriters * kPerWriter);
+  EXPECT_EQ((*reopened)->size(), kPreload + kWriters * kPerWriter);
   auto report = (*reopened)->CheckStructure();
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok()) << report->ToString();

@@ -139,7 +139,7 @@ TEST(QueryEngineTest, BatchMatchesSerialSearch) {
                     .ok());
   }
 
-  for (int threads : {1, 2, 4}) {
+  for (int threads : {1, 2, 4, 8}) {
     std::vector<core::BatchResult> results;
     ASSERT_TRUE(index->SearchBatch(queries, &results, threads).ok());
     ASSERT_EQ(results.size(), queries.size());

@@ -170,6 +170,39 @@ TEST(IntervalIndexTest, PersistAndReopenAllKinds) {
   }
 }
 
+// The plain Search overload forwards to the options overload, which
+// finalizes a still-buffering skeleton before searching (as SearchBatch
+// does): one search builds the skeleton, then answers over every record.
+TEST(IntervalIndexTest, SearchBuildsBufferingSkeleton) {
+  IndexOptions options = SmallOptions(2000);
+  options.skeleton.prediction_sample = 5000;  // Above the insert count.
+  auto index =
+      IntervalIndex::CreateInMemory(IndexKind::kSkeletonSRTree, options)
+          .value();
+  workload::DatasetSpec spec;
+  spec.kind = workload::DatasetKind::kI1;
+  spec.count = 500;
+  spec.seed = 3;
+  const std::vector<Rect> rects = workload::GenerateDataset(spec);
+  NaiveOracle oracle;
+  for (size_t i = 0; i < rects.size(); ++i) {
+    ASSERT_TRUE(index->Insert(rects[i], i).ok());
+    oracle.Insert(rects[i], i);
+  }
+  ASSERT_TRUE(index->skeleton_building());
+
+  const Rect query =
+      workload::GenerateQueries(/*qar=*/1.0, /*area=*/1e8, 1, /*seed=*/5)
+          .front();
+  std::vector<rtree::SearchHit> hits;
+  uint64_t nodes = 0;
+  ASSERT_TRUE(index->Search(query, &hits, &nodes).ok());
+  EXPECT_FALSE(index->skeleton_building());
+  EXPECT_GT(nodes, 0u);
+  EXPECT_FALSE(oracle.Search(query).empty());
+  EXPECT_EQ(Tids(hits), oracle.Search(query));
+}
+
 TEST(IntervalIndexTest, OpenMissingFileFails) {
   EXPECT_FALSE(IntervalIndex::OpenFromDisk(
                    testing::TempDir() + "/definitely_missing_index",

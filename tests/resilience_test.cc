@@ -185,7 +185,9 @@ TEST(ResilienceTest, FiredCancelTokenAbortsSearch) {
 }
 
 TEST(ResilienceTest, BatchWithExpiredDeadlineFailsEveryEntryCheaply) {
-  auto index = OpenImage(BuildImage(MakeRecords(800, 13)));
+  const auto records = MakeRecords(800, 13);
+  const std::vector<uint8_t> image = BuildImage(records);
+  auto index = OpenImage(image);
 
   rtree::SearchOptions options;
   options.deadline = std::chrono::steady_clock::now() -
@@ -203,6 +205,35 @@ TEST(ResilienceTest, BatchWithExpiredDeadlineFailsEveryEntryCheaply) {
         << r.status.ToString();
     EXPECT_EQ(r.nodes_accessed, 0u);
   }
+
+  // A deadline that runs out partway through a batch whose fetches miss a
+  // tiny pool and read the device: each entry ends OK with its full result
+  // or kDeadlineExceeded, the batch reports no other error, and expiring
+  // searches quarantine nothing. Where the deadline falls depends on
+  // timing; the contract does not.
+  IndexOptions small_pool;
+  small_pool.pager.buffer_pool_bytes = 16 * 1024;
+  auto opened = IntervalIndex::OpenFromDevice(
+      std::make_unique<MemoryBlockDevice>(image), small_pool);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  IntervalIndex* cold = opened->get();
+  const std::vector<Rect> scans(64, kEverything);
+  options.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+  const Status batch = cold->SearchBatch(scans, options, &results, 2);
+  EXPECT_TRUE(batch.ok() || batch.code() == StatusCode::kDeadlineExceeded)
+      << batch.ToString();
+  ASSERT_EQ(results.size(), scans.size());
+  for (const core::BatchResult& r : results) {
+    if (r.status.ok()) {
+      EXPECT_EQ(SortedTids(r.hits).size(), records.size());
+    } else {
+      EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
+          << r.status.ToString();
+    }
+  }
+  EXPECT_EQ(cold->pager()->quarantined_count(), 0u);
+  EXPECT_FALSE(cold->pager()->degraded());
 }
 
 // --- per-page quarantine, partial results, scrub, salvage -----------------

@@ -200,6 +200,42 @@ TEST(ServerTest, DeleteIsServed) {
   server.Stop();
 }
 
+// Served inserts take the same path as a local IntervalIndex::Insert, so
+// a skeleton index buffers them in its prediction sample and the first
+// checkpoint builds the skeleton from that sample. An insert that went
+// straight into the tree would leave records where the skeleton's
+// pre-build needs an empty tree, and every checkpoint would fail.
+TEST(ServerTest, SkeletonIndexServesInserts) {
+  IndexOptions index_options;
+  index_options.skeleton.prediction_sample = 50;
+  auto created = IntervalIndex::CreateInMemory(IndexKind::kSkeletonRTree,
+                                               index_options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto index = std::move(created).value();
+  Server server(index.get(), ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+
+  constexpr TupleId kInserts = 20;
+  Rng rng(2024);
+  oracle::NaiveOracle oracle;
+  for (TupleId tid = 1; tid <= kInserts; ++tid) {
+    const Rect rect = RandomInterval(&rng);
+    const Status st = (*client)->Insert(rect, tid);
+    ASSERT_TRUE(st.ok()) << "insert " << tid << ": " << st.ToString();
+    oracle.Insert(rect, tid);
+  }
+  const Rect everything(-1e6, 1e6, -1e6, 1e6);
+  server::SearchReply reply;
+  const Status st = (*client)->Search(everything, &reply);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(SortedTids(reply.hits), oracle.Search(everything));
+  server.Stop();
+  EXPECT_FALSE(index->skeleton_building());
+  EXPECT_EQ(index->size(), kInserts);
+}
+
 // A request whose budget expires while queued is answered
 // kDeadlineExceeded — and the connection stays healthy for the next
 // request.

@@ -33,7 +33,7 @@ expect_exit(2 "usage:" frobnicate)
 
 # The usage header names every dispatched subcommand.
 foreach(cmd create insert query stats verify check scrub salvage serve
-            torture bench-resilience)
+            torture)
   expect_exit(2 "segidx <([a-z-]+[|])*${cmd}[|>]")
 endforeach()
 
@@ -41,13 +41,13 @@ endforeach()
 # these reach the filesystem — flags are validated before any file is
 # opened or created.
 expect_exit(1 "--records: expected a positive integer"
-            bench-resilience --records=abc)
+            torture --records=abc --quiet=1)
 expect_exit(1 "--records: expected a positive integer"
-            bench-resilience --records=-5)
+            torture --records=-5 --quiet=1)
 expect_exit(1 "--records: expected a positive integer"
             torture --records=0 --quiet=1)
 expect_exit(1 "--threads: expected a positive integer"
-            bench-resilience --threads=0)
+            serve --file=cli_smoke_missing.idx --threads=0)
 expect_exit(1 "--expected: expected a non-negative integer"
             create --file=cli_smoke_unwritten.idx --kind=rtree
             --expected=12x)

@@ -11,10 +11,7 @@
 //                 [--no-quota=1] [--no-pages=1] [--max-violations=N]
 //   segidx scrub  --file=idx [--rate=EXTENTS_PER_SEC] [--no-quarantine=1]
 //   segidx salvage --file=damaged --out=new [--kind=rtree|srtree]
-//   segidx bench-resilience [--records=N] [--queries=N] [--repeats=N]
-//                 [--threads=N] [--delay-us=N] [--deadline-us=N]
-//                 [--pool=BYTES] [--seed=S] [--out=JSON_PATH]
-//   segidx torture [--mode=crash|scrub] [--kind=srtree] [--records=N]
+//   segidx torture [--mode=crash|scrub|serve] [--kind=srtree] [--records=N]
 //                 [--checkpoint-every=N] [--tear=BYTES] [--max-points=N]
 //                 [--rounds=N] [--corrupt=N] [--seed=S] [--pool=BYTES]
 //                 [--quiet=1]
@@ -29,11 +26,9 @@
 // `scrub` CRC-verifies every reachable node page plus the superblock slots
 // and free extents (exit 1 when defects are found); `salvage` scavenges
 // every decodable record out of a damaged file into a fresh index at
-// --out. `bench-resilience` measures batch query latency with and without
-// per-batch deadlines under injected slow reads (in memory) and emits a
-// JSON summary. `torture` runs the crash-recovery sweep (--mode=crash,
-// default) or the content-corruption scrub/salvage sweep (--mode=scrub);
-// both run in memory, no --file.
+// --out. `torture` runs the crash-recovery sweep (--mode=crash, default),
+// the content-corruption scrub/salvage sweep (--mode=scrub) or the
+// serving chaos sweep (--mode=serve); all run in memory, no --file.
 //
 // Every command that opens an index file prints the pager's recovery
 // report to stderr (slot fallbacks and journal replays are operator
@@ -41,7 +36,6 @@
 //
 // Exit codes: 0 success, 1 runtime error / violations found, 2 usage error.
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -58,11 +52,9 @@
 #include <thread>
 #include <vector>
 
-#include "common/random.h"
 #include "core/interval_index.h"
 #include "core/salvage.h"
 #include "server/server.h"
-#include "storage/fault_injection.h"
 #include "torture/recovery_torture.h"
 #include "torture/scrub_torture.h"
 #include "torture/serve_torture.h"
@@ -80,7 +72,7 @@ int Usage() {
       "usage: segidx "
       "<create|insert|query|stats|verify|check|scrub|salvage|serve> "
       "--file=PATH ...\n"
-      "       segidx <torture|bench-resilience> ...  (in memory; no --file)\n"
+      "       segidx <torture> ...  (in memory; no --file)\n"
       "  create: --kind=rtree|srtree|skeleton-rtree|skeleton-srtree\n"
       "          [--expected=N] [--sample=N] [--domain=xlo:xhi:ylo:yhi]\n"
       "  insert: [--input=CSV]  rows: tid,xlo,xhi[,ylo,yhi]\n"
@@ -94,10 +86,6 @@ int Usage() {
       "          [--no-quarantine=1]\n"
       "  salvage: rebuild from a damaged file  --out=NEW_PATH\n"
       "          [--kind=rtree|srtree]\n"
-      "  bench-resilience: deadline latency bench (no --file; in memory)\n"
-      "          [--records=N] [--queries=N] [--repeats=N] [--threads=N]\n"
-      "          [--delay-us=N] [--deadline-us=N] [--pool=BYTES] [--seed=S]\n"
-      "          [--out=JSON_PATH]\n"
       "  torture: fault sweeps (no --file; runs in memory)\n"
       "          --mode=crash (default): [--kind=srtree] [--records=N]\n"
       "          [--checkpoint-every=N] [--tear=BYTES] [--max-points=N]\n"
@@ -654,134 +642,6 @@ int CmdServe(const Args& args, const std::string& file) {
   return 0;
 }
 
-int CmdBenchResilience(const Args& args) {
-  uint64_t num_records = 2000;
-  size_t num_queries = 64;
-  size_t repeats = 30;
-  int threads = 2;
-  uint64_t delay_us = 50;
-  uint64_t deadline_us = 2000;
-  uint64_t seed = 42;
-  if (!GetU64(args, "records", &num_records, /*require_positive=*/true) ||
-      !GetSize(args, "queries", &num_queries, /*require_positive=*/true) ||
-      !GetSize(args, "repeats", &repeats, /*require_positive=*/true) ||
-      !GetI32(args, "threads", &threads, /*require_positive=*/true) ||
-      !GetU64(args, "delay-us", &delay_us) ||
-      !GetU64(args, "deadline-us", &deadline_us) ||
-      !GetU64(args, "seed", &seed)) {
-    return 1;
-  }
-
-  IndexOptions options;
-  // A small pool forces physical reads, so the injected device latency is
-  // actually felt by the search path.
-  options.pager.buffer_pool_bytes = 16 * 1024;
-  if (!GetSize(args, "pool", &options.pager.buffer_pool_bytes,
-               /*require_positive=*/true)) {
-    return 1;
-  }
-
-  auto device = std::make_unique<storage::FaultInjectingBlockDevice>(
-      std::make_unique<storage::MemoryBlockDevice>());
-  storage::FaultInjectingBlockDevice* dev = device.get();
-  auto created = IntervalIndex::CreateWithDevice(
-      IndexKind::kSRTree, std::move(device), options);
-  if (!created.ok()) {
-    std::fprintf(stderr, "create failed: %s\n",
-                 created.status().ToString().c_str());
-    return 1;
-  }
-  auto index = std::move(created).value();
-
-  Rng rng(seed);
-  for (uint64_t i = 0; i < num_records; ++i) {
-    const double s = rng.Uniform(0.0, 1000.0);
-    const Rect rect(Interval(s, s + rng.Uniform(0.5, 40.0)),
-                    Interval::Point(rng.Uniform(0.0, 1000.0)));
-    if (auto st = index->Insert(rect, i + 1); !st.ok()) {
-      std::fprintf(stderr, "insert failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-  }
-  if (auto st = index->Commit(); !st.ok()) {
-    std::fprintf(stderr, "commit failed: %s\n", st.ToString().c_str());
-    return 1;
-  }
-
-  std::vector<Rect> queries;
-  queries.reserve(num_queries);
-  for (size_t i = 0; i < num_queries; ++i) {
-    const double x = rng.Uniform(0.0, 950.0);
-    const double y = rng.Uniform(0.0, 950.0);
-    queries.emplace_back(x, x + 50.0, y, y + 50.0);
-  }
-
-  dev->SetReadDelay(std::chrono::microseconds(delay_us));
-
-  using Clock = std::chrono::steady_clock;
-  auto percentile = [](std::vector<double> ms, double p) {
-    std::sort(ms.begin(), ms.end());
-    const size_t idx = static_cast<size_t>(p * (ms.size() - 1) + 0.5);
-    return ms[idx];
-  };
-  // One measured pass: `repeats` batches, recording each batch's wall time
-  // and how many entries timed out.
-  auto run = [&](bool with_deadline, std::vector<double>* batch_ms,
-                 uint64_t* exceeded) -> bool {
-    for (size_t r = 0; r < repeats; ++r) {
-      rtree::SearchOptions so;
-      if (with_deadline) {
-        so.deadline = Clock::now() + std::chrono::microseconds(deadline_us);
-      }
-      std::vector<core::BatchResult> results;
-      const auto t0 = Clock::now();
-      const Status st = index->SearchBatch(queries, so, &results, threads);
-      batch_ms->push_back(
-          std::chrono::duration<double, std::milli>(Clock::now() - t0)
-              .count());
-      if (!st.ok() && st.code() != StatusCode::kDeadlineExceeded) {
-        std::fprintf(stderr, "batch failed: %s\n", st.ToString().c_str());
-        return false;
-      }
-      for (const core::BatchResult& res : results) {
-        if (res.status.code() == StatusCode::kDeadlineExceeded) ++*exceeded;
-      }
-    }
-    return true;
-  };
-
-  std::vector<double> base_ms, deadline_ms;
-  uint64_t base_exceeded = 0, deadline_exceeded = 0;
-  if (!run(false, &base_ms, &base_exceeded)) return 1;
-  if (!run(true, &deadline_ms, &deadline_exceeded)) return 1;
-
-  char json[640];
-  std::snprintf(
-      json, sizeof(json),
-      "{\"bench\": \"resilience\", \"records\": %llu, \"queries\": %zu, "
-      "\"repeats\": %zu, \"threads\": %d, \"read_delay_us\": %llu, "
-      "\"deadline_us\": %llu, "
-      "\"no_deadline\": {\"p50_ms\": %.3f, \"p99_ms\": %.3f}, "
-      "\"with_deadline\": {\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-      "\"deadline_exceeded_entries\": %llu}}\n",
-      static_cast<unsigned long long>(num_records), num_queries, repeats,
-      threads, static_cast<unsigned long long>(delay_us),
-      static_cast<unsigned long long>(deadline_us),
-      percentile(base_ms, 0.50), percentile(base_ms, 0.99),
-      percentile(deadline_ms, 0.50), percentile(deadline_ms, 0.99),
-      static_cast<unsigned long long>(deadline_exceeded));
-  std::fputs(json, stdout);
-  if (auto out = args.Get("out")) {
-    std::ofstream f(*out);
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", out->c_str());
-      return 1;
-    }
-    f << json;
-  }
-  return 0;
-}
-
 int CmdScrubTorture(const Args& args) {
   torture::ScrubTortureOptions options;
   if (auto v = args.Get("kind")) {
@@ -969,9 +829,6 @@ int main(int argc, char** argv) {
   const auto args = Parse(argc, argv);
   if (!args) return Usage();
   if (args->command == "torture") return CmdTorture(*args);
-  if (args->command == "bench-resilience") {
-    return CmdBenchResilience(*args);
-  }
   const auto file = args->Get("file");
   if (!file) return Usage();
 

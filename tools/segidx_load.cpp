@@ -1,6 +1,8 @@
 // Load generator for segidxd: mixed search/insert traffic over N client
 // connections, reporting p50/p99 latency per operation type and aggregate
-// throughput as JSON (BENCH_serving.json in CI).
+// throughput as JSON (to stdout, and to --out). It is the one way to
+// measure a file-backed server (`segidx serve --file`); CI runs it with
+// --chaos=1 as the chaos-serving job's smoke gate.
 //
 //   segidx_load [--records=N] [--connections=N] [--duration-ms=N]
 //               [--write-pct=0..100] [--budget-us=N] [--qar=F] [--seed=S]
